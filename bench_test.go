@@ -104,7 +104,7 @@ func BenchmarkCompile(b *testing.B) {
 	b.ReportAllocs()
 	p := core.NewPipeline(core.Options{Optimize: true})
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Compile("health.ec", src); err != nil {
+		if _, err := p.Do(core.CompileRequest{Name: "health.ec", Source: src}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -142,10 +142,11 @@ func BenchmarkSimulator(b *testing.B) {
 	bm := olden.ByName("power")
 	src := bm.Source(quickParams(bm))
 	p := core.NewPipeline(core.Options{Optimize: true})
-	u, err := p.Compile("power.ec", src)
+	cr, err := p.Do(core.CompileRequest{Name: "power.ec", Source: src})
 	if err != nil {
 		b.Fatal(err)
 	}
+	u := cr.Unit
 	// Exclude one-shot setup from the measurement so allocs/op is
 	// independent of b.N (the quick perf gate runs at -benchtime 50ms, where
 	// the compile's ~29k allocations and the first run's threaded-code
@@ -167,27 +168,28 @@ func BenchmarkSimulator(b *testing.B) {
 	b.ReportMetric(float64(instr), "guest_instructions")
 }
 
-// BenchmarkSimNodes is the sharded-event-loop scalability sweep: the halo
-// ring exchange (one cell per node, nearest-neighbor traffic only) at
-// rising machine sizes, run both on the classic sequential loop (seq) and
-// sharded with SimWorkers=GOMAXPROCS (par). Both modes produce bit-identical
-// results — the equivalence matrix in internal/earthsim pins that — so the
-// sweep isolates pure event-loop cost: wall time per run plus events/sec
-// (events is deterministic and Exact-gated; events_sec is the throughput
-// metric the BENCH_pr8.json gate tracks).
+// BenchmarkSimNodes is the event-loop scalability sweep: the halo ring
+// exchange (one cell per node, nearest-neighbor traffic only) at rising
+// machine sizes, with the per-node shards driven by one goroutine (seq) and
+// by SimWorkers=GOMAXPROCS (par). Both modes produce bit-identical results
+// — the equivalence matrix in internal/earthsim pins that — so the sweep
+// isolates pure event-loop cost: wall time per run plus events/sec (events
+// is deterministic and Exact-gated; events_sec is the throughput metric the
+// BENCH_pr8.json gate tracks).
 func BenchmarkSimNodes(b *testing.B) {
 	bm := olden.Halo()
 	src := bm.Source(bm.DefaultParams)
 	p := core.NewPipeline(core.Options{Optimize: true})
-	u, err := p.Compile("halo.ec", src)
+	cr, err := p.Do(core.CompileRequest{Name: "halo.ec", Source: src})
 	if err != nil {
 		b.Fatal(err)
 	}
+	u := cr.Unit
 	for _, nodes := range []int{4, 64, 256, 1024} {
 		for _, mode := range []struct {
 			name    string
 			workers int
-		}{{"seq", 0}, {"par", runtime.GOMAXPROCS(0)}} {
+		}{{"seq", 1}, {"par", runtime.GOMAXPROCS(0)}} {
 			nodes, mode := nodes, mode
 			b.Run("nodes="+itoa(nodes)+"/"+mode.name, func(b *testing.B) {
 				rc := core.RunConfig{Nodes: nodes, SimWorkers: mode.workers}

@@ -72,10 +72,11 @@ func main() {
 
 	if *profGen != "" {
 		p := core.NewPipeline(core.Options{NoInline: *noInline, Workers: *workers})
-		u, err := p.Compile(name, string(src))
+		cr, err := p.Do(core.CompileRequest{Name: name, Source: string(src)})
 		if err != nil {
 			fatal(err)
 		}
+		u := cr.Unit
 		res, err := p.Run(u, core.RunConfig{Nodes: *nodes, Profile: true})
 		if err != nil {
 			fatal(err)

@@ -79,9 +79,13 @@ func main() {
 	fuel := flag.Int64("fuel", 0, "abort after N simulated EU instructions (0 = unlimited)")
 	deadline := flag.Duration("deadline", 0, "abort after this much host wall-clock time (0 = none)")
 	workers := flag.Int("j", 0, "analysis worker count (0 = all CPUs); output is identical for any value")
-	simJ := flag.Int("sim-j", 0, "simulator worker count: shard the event loop per node and drive it with up to N goroutines (0 = classic sequential loop); output is identical for any value")
+	simJ := flag.Int("sim-j", 0, "simulator worker count: drive the per-node event-loop shards with up to N goroutines (0 = 1); output is identical for any value")
 	httpAddr := flag.String("http", "", "serve live telemetry on this address during the run")
 	flag.Parse()
+	if *simJ < 0 {
+		fmt.Fprintf(os.Stderr, "earthrun: -sim-j must be ≥ 0, got %d\n", *simJ)
+		os.Exit(2)
+	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: earthrun [flags] file.ec")
 		flag.Usage()
@@ -234,7 +238,7 @@ type runOpts struct {
 	machine    *earthsim.Config // cost-model override
 	rec        *trace.Recorder  // event sink (nil = no tracing)
 	workers    int              // analysis worker count (0 = all CPUs)
-	simWorkers int              // simulator event-loop workers (0 = sequential loop)
+	simWorkers int              // simulator event-loop workers (0 = 1)
 	fuel       int64            // EU instruction budget (0 = unlimited)
 	deadline   time.Duration    // host wall-clock bound (0 = none)
 	faults     *earthsim.FaultConfig

@@ -58,10 +58,14 @@ func main() {
 	procsFlag := flag.String("procs", "1,2,4,8,16", "processor counts for table3")
 	scale := flag.String("scale", "default", "problem scale: quick|default")
 	faultSeed := flag.Uint64("fault-seed", 1, "PRNG seed for the fault sweep")
-	simJ := flag.Int("sim-j", 0, "simulator event-loop workers per run (0 = classic sequential loop); all measurements are identical for any value")
+	simJ := flag.Int("sim-j", 0, "simulator event-loop workers per run (0 = 1); all measurements are identical for any value")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON")
 	outPath := flag.String("out", "", "write the report to this file instead of stdout")
 	flag.Parse()
+	if *simJ < 0 {
+		fmt.Fprintf(os.Stderr, "paperbench: -sim-j must be ≥ 0, got %d\n", *simJ)
+		os.Exit(2)
+	}
 
 	var out io.Writer = os.Stdout
 	if *outPath != "" {

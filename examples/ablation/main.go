@@ -20,10 +20,11 @@ func main() {
 		src := bm.Source(params)
 
 		basePipe := core.NewPipeline(core.Options{})
-		baseUnit, err := basePipe.Compile(name+".ec", src)
+		cr, err := basePipe.Do(core.CompileRequest{Name: name + ".ec", Source: src})
 		if err != nil {
 			log.Fatal(err)
 		}
+		baseUnit := cr.Unit
 		base, err := basePipe.Run(baseUnit, core.RunConfig{Nodes: 4})
 		if err != nil {
 			log.Fatal(err)
@@ -33,10 +34,11 @@ func main() {
 
 		run := func(label string, sel commsel.Options) {
 			p := core.NewPipeline(core.Options{Optimize: true, Sel: sel})
-			u, err := p.Compile(name+".ec", src)
+			cr, err := p.Do(core.CompileRequest{Name: name + ".ec", Source: src})
 			if err != nil {
 				log.Fatal(err)
 			}
+			u := cr.Unit
 			res, err := p.Run(u, core.RunConfig{Nodes: 4})
 			if err != nil {
 				log.Fatal(err)
@@ -52,10 +54,11 @@ func main() {
 		run("full optimization", commsel.Options{})
 		runReorder := func(label string) {
 			p := core.NewPipeline(core.Options{Optimize: true, ReorderFields: true})
-			u, err := p.Compile(name+".ec", src)
+			cr, err := p.Do(core.CompileRequest{Name: name + ".ec", Source: src})
 			if err != nil {
 				log.Fatal(err)
 			}
+			u := cr.Unit
 			res, err := p.Run(u, core.RunConfig{Nodes: 4})
 			if err != nil {
 				log.Fatal(err)

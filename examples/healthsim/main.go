@@ -20,10 +20,11 @@ func main() {
 
 	simplePipe := core.NewPipeline(core.Options{})
 	optPipe := core.NewPipeline(core.Options{Optimize: true})
-	u, err := simplePipe.Compile("health.ec", src)
+	cr, err := simplePipe.Do(core.CompileRequest{Name: "health.ec", Source: src})
 	if err != nil {
 		log.Fatal(err)
 	}
+	u := cr.Unit
 	seq, err := simplePipe.Run(u, core.RunConfig{Nodes: 1, Sequential: true})
 	if err != nil {
 		log.Fatal(err)
@@ -31,10 +32,11 @@ func main() {
 	fmt.Printf("sequential C baseline: %8.3f ms  output=%q\n\n",
 		float64(seq.Time)/1e6, seq.Output)
 
-	ou, err := optPipe.Compile("health.ec", src)
+	cr, err = optPipe.Do(core.CompileRequest{Name: "health.ec", Source: src})
 	if err != nil {
 		log.Fatal(err)
 	}
+	ou := cr.Unit
 	fmt.Printf("%6s %12s %12s %8s %8s %8s\n",
 		"nodes", "simple (ms)", "opt (ms)", "s.speed", "o.speed", "impr%")
 	for _, nodes := range []int{1, 2, 4, 8} {

@@ -84,10 +84,11 @@ int main() {
 
 func main() {
 	optPipe := core.NewPipeline(core.Options{Optimize: true, NoInline: true})
-	u, err := optPipe.Compile("listsearch.ec", src)
+	cr, err := optPipe.Do(core.CompileRequest{Name: "listsearch.ec", Source: src})
 	if err != nil {
 		log.Fatal(err)
 	}
+	u := cr.Unit
 
 	fmt.Println("=== RemoteReads sets (possible-placement analysis, cf. Figure 7) ===")
 	fn := u.Simple.FuncByName("example")
@@ -106,10 +107,11 @@ func main() {
 	fmt.Println(u.Report)
 
 	simplePipe := core.NewPipeline(core.Options{NoInline: true})
-	simpleUnit, err := simplePipe.Compile("listsearch.ec", src)
+	cr, err = simplePipe.Do(core.CompileRequest{Name: "listsearch.ec", Source: src})
 	if err != nil {
 		log.Fatal(err)
 	}
+	simpleUnit := cr.Unit
 	sres, err := simplePipe.Run(simpleUnit, core.RunConfig{Nodes: 4})
 	if err != nil {
 		log.Fatal(err)

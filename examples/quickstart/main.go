@@ -45,16 +45,18 @@ int main() {
 func main() {
 	// Compile without the communication optimization ("simple")...
 	simplePipe := core.NewPipeline(core.Options{NoInline: true})
-	simpleUnit, err := simplePipe.Compile("distance.ec", src)
+	cr, err := simplePipe.Do(core.CompileRequest{Name: "distance.ec", Source: src})
 	if err != nil {
 		log.Fatal(err)
 	}
+	simpleUnit := cr.Unit
 	// ...and with it.
 	optPipe := core.NewPipeline(core.Options{Optimize: true, NoInline: true})
-	optUnit, err := optPipe.Compile("distance.ec", src)
+	cr, err = optPipe.Do(core.CompileRequest{Name: "distance.ec", Source: src})
 	if err != nil {
 		log.Fatal(err)
 	}
+	optUnit := cr.Unit
 
 	fmt.Println("=== SIMPLE form (before optimization, cf. Figure 3(b)) ===")
 	fmt.Println(simple.FuncString(simpleUnit.Simple.FuncByName("distance"), simple.PrintOptions{}))

@@ -11,10 +11,11 @@ import (
 
 func optimized(t *testing.T, src string, sel commsel.Options) *core.Unit {
 	t.Helper()
-	u, err := core.NewPipeline(core.Options{Optimize: true, NoInline: true, Sel: sel}).Compile("t.ec", src)
+	cr, err := core.NewPipeline(core.Options{Optimize: true, NoInline: true, Sel: sel}).Do(core.CompileRequest{Name: "t.ec", Source: src})
 	if err != nil {
 		t.Fatal(err)
 	}
+	u := cr.Unit
 	return u
 }
 

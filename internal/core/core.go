@@ -192,16 +192,3 @@ func pointeeName(p *simple.Var) string {
 	}
 	return sr.Name
 }
-
-// MustCompile compiles or panics; for tests and embedded benchmarks.
-//
-// Deprecated: thin wrapper over Pipeline.Do, kept for call-site brevity.
-// New code should build a CompileRequest and call Do, which also exposes
-// the cache outcome.
-func MustCompile(name, src string, opt Options) *Unit {
-	res, err := NewPipeline(opt).Do(CompileRequest{Name: name, Source: src})
-	if err != nil {
-		panic(err)
-	}
-	return res.Unit
-}

@@ -9,7 +9,11 @@ import (
 // free functions.
 
 func compile(name, src string, opt Options) (*Unit, error) {
-	return NewPipeline(opt).Compile(name, src)
+	cr, err := NewPipeline(opt).Do(CompileRequest{Name: name, Source: src})
+	if err != nil {
+		return nil, err
+	}
+	return cr.Unit, nil
 }
 
 // runUnit executes u on a plain (sink-free) pipeline; a compiled unit is
@@ -20,10 +24,11 @@ func runUnit(u *Unit, rc RunConfig) (*earthsim.Result, error) {
 
 func compileAndRun(name, src string, optimize bool, nodes int) (*earthsim.Result, error) {
 	p := NewPipeline(Options{Optimize: optimize})
-	u, err := p.Compile(name, src)
+	cr, err := p.Do(CompileRequest{Name: name, Source: src})
 	if err != nil {
 		return nil, err
 	}
+	u := cr.Unit
 	return p.Run(u, RunConfig{Nodes: nodes})
 }
 

@@ -22,11 +22,11 @@ import (
 )
 
 // Pipeline is the unified compile-and-run entry point: construct one from
-// Options, then call Compile / CompileAST / Run / ProfileCycle. A Pipeline
-// is cheap and safe to reuse across units; observability sinks
-// (Options.Stats, Options.Trace, Options.Metrics) plug in at construction
-// so every compile and run it performs feeds them, and ServeDebug exposes
-// them over HTTP while runs are in flight.
+// Options, then call Do / Run / ProfileCycle. A Pipeline is cheap and safe
+// to reuse across units; observability sinks (Options.Stats, Options.Trace,
+// Options.Metrics) plug in at construction so every compile and run it
+// performs feeds them, and ServeDebug exposes them over HTTP while runs are
+// in flight.
 type Pipeline struct {
 	opt Options
 	// live is the current-run state the debug HTTP server reads; a shared
@@ -40,32 +40,6 @@ func NewPipeline(opt Options) *Pipeline { return &Pipeline{opt: opt, live: &live
 
 // Options returns the pipeline's configuration.
 func (p *Pipeline) Options() Options { return p.opt }
-
-// Compile runs the full pipeline over EARTH-C source text.
-//
-// Deprecated: thin wrapper over Do, kept for call-site brevity. New code
-// should build a CompileRequest and call Do, which also carries the
-// profile and cache policy and exposes the cache outcome.
-func (p *Pipeline) Compile(name, src string) (*Unit, error) {
-	res, err := p.Do(CompileRequest{Name: name, Source: src})
-	if err != nil {
-		return nil, err
-	}
-	return res.Unit, nil
-}
-
-// CompileAST runs the pipeline from a parsed (possibly programmatically
-// constructed) AST. The AST is modified in place by loop desugaring and
-// goto elimination.
-//
-// Deprecated: thin wrapper over Do with CompileRequest.AST set.
-func (p *Pipeline) CompileAST(file *earthc.File) (*Unit, error) {
-	res, err := p.Do(CompileRequest{Name: file.Name, AST: file})
-	if err != nil {
-		return nil, err
-	}
-	return res.Unit, nil
-}
 
 // newStats returns a stats collector when any sink wants one (Unit.Stats
 // via Options.Stats, or the metrics registry's per-phase histograms); its

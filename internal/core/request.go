@@ -121,8 +121,8 @@ func (p *Pipeline) CacheKey(req CompileRequest) string {
 }
 
 // Do runs one compile described by req, consulting and feeding the
-// pipeline's cache according to req.Cache. It is the primary compile entry
-// point; Compile, CompileAST, and MustCompile are thin wrappers.
+// pipeline's cache according to req.Cache. It is the one compile entry
+// point.
 //
 // Correctness contract: a cached (unit-hit or incremental) compile yields
 // byte-identical threaded-code disassembly — and byte-identical

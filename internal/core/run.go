@@ -49,10 +49,9 @@ type RunConfig struct {
 	// it fails with an error wrapping earthsim.ErrFuelExhausted rather than
 	// hanging.
 	Fuel int64
-	// SimWorkers selects the simulator's sharded event loop (one event-loop
-	// shard per simulated node, synchronized by conservative lookahead) and
-	// bounds the goroutines driving it. 0 keeps the classic sequential loop;
-	// see earthsim.Config.SimWorkers for the determinism contract.
+	// SimWorkers bounds the goroutines driving the simulator's per-node
+	// event-loop shards (0 means 1); see earthsim.Config.SimWorkers for the
+	// determinism contract.
 	SimWorkers int
 	// Deadline bounds host wall-clock time (0 = none); exceeding it fails
 	// with an error wrapping earthsim.ErrDeadline.

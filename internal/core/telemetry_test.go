@@ -128,10 +128,11 @@ func TestDebugServerLiveRun(t *testing.T) {
 	reg := metrics.NewRegistry()
 	rec := trace.NewRecorder(0)
 	p := NewPipeline(Options{Metrics: reg, Trace: rec})
-	u, err := p.Compile("slow.ec", slowLoopSrc)
+	cr, err := p.Do(CompileRequest{Name: "slow.ec", Source: slowLoopSrc})
 	if err != nil {
 		t.Fatal(err)
 	}
+	u := cr.Unit
 	srv := httptest.NewServer(p.DebugHandler())
 	defer srv.Close()
 

@@ -9,10 +9,11 @@ import (
 	"repro/internal/threaded"
 )
 
-// TestCancelLegacy: cancelling the run context stops the sequential event
-// loop promptly with ErrCanceled — on a guest that would otherwise loop
-// forever in simulated time.
-func TestCancelLegacy(t *testing.T) {
+// TestCancelOneNode: cancelling the run context stops a one-node run —
+// one shard running the whole simulation in a single window, so only the
+// in-window checks can see the cancellation — promptly with ErrCanceled, on
+// a guest that would otherwise loop forever in simulated time.
+func TestCancelOneNode(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(10*time.Millisecond, cancel)
 	m := New(loopProg(), DefaultConfig(1)).SetContext(ctx)
@@ -31,8 +32,9 @@ func TestCancelLegacy(t *testing.T) {
 	}
 }
 
-// TestCancelSharded: the sharded engine observes cancellation too, both at
-// the coordinator barrier and inside shard windows.
+// TestCancelSharded: a multi-shard run driven by several workers observes
+// cancellation too, both at the coordinator barrier and inside shard
+// windows.
 func TestCancelSharded(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(10*time.Millisecond, cancel)
@@ -40,7 +42,7 @@ func TestCancelSharded(t *testing.T) {
 	cfg.SimWorkers = 2
 	m := New(loopProg(), cfg).SetContext(ctx)
 	if len(m.sh) < 2 {
-		t.Fatal("test did not select the sharded engine")
+		t.Fatal("4 nodes must yield several shards")
 	}
 	done := make(chan error, 1)
 	go func() {

@@ -25,7 +25,7 @@ func (m *shard) runEU(n *node, t int64) {
 		m.execFiber(f, &t)
 		m.tr.EUSpan(n.id, fid, name, start, t)
 		if m.ms != nil {
-			m.ms.euBusy[n.id-m.ms.base] += t - start
+			m.ms.euBusy += t - start
 		}
 	} else {
 		m.execFiber(f, &t)

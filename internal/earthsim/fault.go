@@ -439,11 +439,8 @@ func (m *shard) sendMsg(g *msg, t, svc int64) {
 
 // txnSeq tags a transaction ordinal with the owning shard, keeping sequence
 // numbers unique machine-wide (the receiver's exactly-once cache is keyed by
-// them). Legacy mode keeps plain ordinals.
+// them).
 func (m *shard) txnSeq(ordinal uint64) uint64 {
-	if m.single {
-		return ordinal
-	}
 	return uint64(m.id+1)<<40 | ordinal
 }
 

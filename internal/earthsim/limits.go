@@ -42,11 +42,11 @@ func (m *Machine) SetDeadline(d time.Duration) *Machine {
 // SetContext attaches a cancellation context to the run (nil detaches, the
 // default). The simulator polls it on the same cadence as the wall-clock
 // deadline — every limitCheckInterval EU instructions and every 4096 events
-// per shard, plus once per coordinator round in sharded mode — and stops
-// with an error wrapping ErrCanceled. Unlike Fuel/SetDeadline this limit is
-// external to simulated time: a client disconnect or a DELETE /jobs/{id}
-// aborts a run that is making perfectly good simulated-time progress. Call
-// before Run. Returns m for chaining.
+// per shard, plus at the coordinator barrier every 4096 events machine-wide
+// — and stops with an error wrapping ErrCanceled. Unlike Fuel/SetDeadline
+// this limit is external to simulated time: a client disconnect or a
+// DELETE /jobs/{id} aborts a run that is making perfectly good
+// simulated-time progress. Call before Run. Returns m for chaining.
 func (m *Machine) SetContext(ctx context.Context) *Machine {
 	m.ctx = ctx
 	return m
@@ -65,7 +65,7 @@ func (m *shard) trapw(sentinel error, format string, args ...any) {
 func (m *shard) limitCheck() {
 	m.nextLimitCheck += limitCheckInterval
 	// othersInstr is the rest of the machine's instruction count as of the
-	// last barrier (always zero in legacy mode), so the shared fuel budget
+	// last barrier, so the shared fuel budget
 	// is enforced machine-wide with at most one barrier of slack.
 	if m.othersInstr+m.counts.Instructions > m.fuel {
 		m.trapw(ErrFuelExhausted, "%d EU instructions executed (fuel %d) — raise Config.Fuel / -fuel if the program is genuinely long-running%s",

@@ -74,13 +74,11 @@ type Config struct {
 	// reliable-messaging protocol (see fault.go). Nil costs nothing.
 	Faults *FaultConfig
 
-	// SimWorkers selects the sharded event loop: one event-loop shard per
-	// simulated node, synchronized by conservative lookahead windows derived
-	// from NetLatency, driven by up to SimWorkers goroutines (1 = the
-	// sharded engine run sequentially). 0 keeps the historical single
-	// sequential loop. For a fixed seed + spec the sharded engine's Result,
-	// trace and telemetry series are bit-identical across worker counts,
-	// and Result.Visible() also matches the historical loop.
+	// SimWorkers is the number of goroutines driving the event-loop shards'
+	// windows (one shard per simulated node, synchronized by conservative
+	// lookahead windows derived from NetLatency; see parallel.go). 0 means
+	// 1. For a fixed seed + spec the Result, trace and telemetry series are
+	// bit-identical for every value.
 	SimWorkers int
 }
 
@@ -451,16 +449,12 @@ type doneRec struct {
 	at  int64
 }
 
-// shard owns the mutable per-run state of one or more simulated nodes: a
-// local event heap, the EU/SU/fiber state of its nodes, its side of the
-// reliable-messaging protocol, and its slice of the trace/telemetry
-// recorders. In legacy mode (Config.SimWorkers == 0) a single shard owns
-// every node and Machine.Run drives it exactly as the historical sequential
-// loop did; in sharded mode there is one shard per node and the coordinator
-// runs them in conservative-lookahead windows (see parallel.go).
+// shard owns the mutable per-run state of one simulated node: a local event
+// heap, the node's EU/SU/fiber state, its side of the reliable-messaging
+// protocol, and its slice of the trace/telemetry recorders. The coordinator
+// runs the shards in conservative-lookahead windows (see parallel.go).
 type shard struct {
-	id     int
-	single bool // legacy mode: this shard owns every node
+	id int
 
 	// Read-only after New: shared program/topology. nodes is the full node
 	// table — a shard only mutates the state of nodes it owns, but message
@@ -468,7 +462,7 @@ type shard struct {
 	cfg   Config
 	prog  *threaded.Program
 	nodes []*node
-	peers []*shard // owning shard per node id (all == the single shard in legacy mode)
+	peers []*shard // owning shard per node id
 
 	events        eventQ
 	seq           int64
@@ -491,16 +485,16 @@ type shard struct {
 	tr            *trace.Recorder // nil: tracing disabled (the common case)
 	ms            *simMetrics     // nil: live telemetry disabled (see SetMetrics)
 
-	// Cross-shard buffers (sharded mode only; empty in legacy mode).
+	// Cross-shard buffers, emptied by the coordinator at each barrier.
 	outbox       []mail
 	foreignDones []doneRec
 
-	// Coordinator bookkeeping (sharded mode only; see runSharded). head
-	// caches events[0].time while the shard sits in the coordinator's
-	// head-indexed heap at position hpos (-1 when absent); barInstr /
-	// barEvents / barLive snapshot the running totals a window started from,
-	// so the coordinator can fold post-window deltas into its incremental
-	// machine-wide sums; mailStamp dedupes the round's mail receivers.
+	// Coordinator bookkeeping (see Machine.Run). head caches
+	// events[0].time while the shard sits in the coordinator's head-indexed
+	// heap at position hpos (-1 when absent); barInstr / barEvents / barLive
+	// snapshot the running totals a window started from, so the coordinator
+	// can fold post-window deltas into its incremental machine-wide sums;
+	// mailStamp dedupes the round's mail receivers.
 	head      int64
 	hpos      int
 	barInstr  int64
@@ -535,20 +529,19 @@ type shard struct {
 }
 
 // Machine is a loaded simulator instance: the shared topology plus one
-// event-loop shard per node (or a single shard running the classic
-// sequential loop when Config.SimWorkers is zero).
+// event-loop shard per node.
 type Machine struct {
 	cfg       Config
 	prog      *threaded.Program
 	nodes     []*node
 	sh        []*shard
-	lookahead int64 // conservative lookahead L (sharded mode; = cfg.NetLatency)
-	workers   int   // worker goroutines driving shard windows (sharded mode)
+	lookahead int64 // conservative lookahead L: least wire time of cross-shard mail
+	workers   int   // worker goroutines driving shard windows
 	wallLimit time.Duration
 	ctx       context.Context  // nil: cancellation disabled
 	tr        *trace.Recorder  // user-facing recorder (nil: tracing off)
 	sampler   *metrics.Sampler // user-facing sampler (nil: telemetry off)
-	gNext     int64            // next merged sampling boundary (sharded mode)
+	gNext     int64            // next merged sampling boundary
 	gLast     int64            // time of the last merged sample (-1 before any)
 }
 
@@ -575,45 +568,31 @@ func New(prog *threaded.Program, cfg Config) *Machine {
 	for _, iv := range prog.GlobalInit {
 		m.nodes[0].mem[iv[0]] = iv[1]
 	}
-	// Sharded execution needs at least one nanosecond of wire latency for
-	// the conservative lookahead bound, and more than one node to shard;
-	// otherwise fall back to the sequential loop regardless of SimWorkers.
-	if cfg.SimWorkers > 0 && cfg.Nodes > 1 && cfg.NetLatency >= 1 {
+	// The lookahead is the least wire time of any cross-shard message:
+	// NetLatency, or unbounded on a one-node machine, which has no other
+	// shard to send to — its one shard then runs the whole simulation in one
+	// window.
+	m.lookahead = math.MaxInt64
+	if cfg.Nodes > 1 {
 		m.lookahead = cfg.NetLatency
-		m.workers = min(cfg.SimWorkers, cfg.Nodes)
-		for i := 0; i < cfg.Nodes; i++ {
-			m.sh = append(m.sh, m.newShard(i, false))
-		}
-	} else {
-		m.sh = []*shard{m.newShard(0, true)}
 	}
-	for _, s := range m.sh {
-		if s.single {
-			s.peers = make([]*shard, cfg.Nodes)
-			for i := range s.peers {
-				s.peers[i] = s
-			}
-		} else {
-			s.peers = m.sh
-		}
+	m.workers = min(max(cfg.SimWorkers, 1), cfg.Nodes)
+	m.sh = make([]*shard, cfg.Nodes)
+	for i := range m.sh {
+		m.sh[i] = m.newShard(i)
 	}
 	return m
 }
 
-// newShard builds one event-loop shard. Shard 0's RNG stream matches the
-// historical single-loop stream exactly; other shards mix their id in.
-func (m *Machine) newShard(id int, single bool) *shard {
+// newShard builds the event-loop shard of node id.
+func (m *Machine) newShard(id int) *shard {
 	cfg := m.cfg
-	// A sharded loop holds one node's events (a handful at a time), a legacy
-	// loop the whole machine's — size the queue and scratch accordingly, or
-	// a 1024-shard machine pays ~12MB of empty queue capacity per run.
-	qcap, scap := 256, 64
-	if !single {
-		qcap, scap = 8, 16
-	}
-	s := &shard{id: id, single: single, cfg: cfg, prog: m.prog, nodes: m.nodes,
+	// A shard holds one node's events (a handful at a time); keep the initial
+	// queue and scratch small, or a 1024-shard machine pays megabytes of
+	// empty capacity per run.
+	s := &shard{id: id, cfg: cfg, prog: m.prog, nodes: m.nodes, peers: m.sh,
 		maxFiberInstr: cfg.MaxFiberInstr,
-		events:        make(eventQ, 0, qcap), scratch: make([]int64, 0, scap)}
+		events:        make(eventQ, 0, 8), scratch: make([]int64, 0, 16)}
 	if s.maxFiberInstr == 0 {
 		s.maxFiberInstr = 2_000_000_000
 	}
@@ -622,17 +601,14 @@ func (m *Machine) newShard(id int, single bool) *shard {
 		s.fuel = math.MaxInt64
 	}
 	s.nextLimitCheck = limitCheckInterval
-	if !single {
-		// Keep per-shard streams disjoint: (time, seq) ties and output
-		// ordering are resolved per shard, so each shard gets its own
-		// deterministic id space for fibers, output and txn sequences.
-		s.outSeq = int64(id) << 40
-	}
+	// Keep per-shard streams disjoint: (time, seq) ties and output ordering
+	// are resolved per shard, so each shard gets its own deterministic id
+	// space for fibers, output and txn sequences.
+	s.outSeq = int64(id) << 40
 	if cfg.Faults != nil {
 		s.flt = cfg.Faults
-		// Mix the seed so Seed 0 still yields a well-distributed stream.
-		// Sharded loops draw from per-shard streams (golden-ratio offset per
-		// id); shard 0 keeps the historical stream.
+		// Mix the seed so Seed 0 still yields a well-distributed stream. Each
+		// shard draws from its own stream (golden-ratio offset per id).
 		s.rngState = (cfg.Faults.Seed + uint64(id)*0x9E3779B97F4A7C15) ^ 0x6C62272E07BB0142
 		s.txns = make(map[uint64]*txn)
 		s.seen = make(map[uint64]svcCache)
@@ -658,13 +634,9 @@ func (m *Machine) newShard(id int, single bool) *shard {
 func (m *Machine) SetTrace(r *trace.Recorder) *Machine {
 	m.tr = r
 	r.SetNodes(len(m.nodes))
-	if len(m.sh) == 1 {
-		m.sh[0].tr = r
-		return m
-	}
-	// Sharded mode: each shard records into a private recorder whose content
-	// depends only on that shard's deterministic event sequence; the
-	// coordinator merges them in shard order after Run (see mergeTrace).
+	// Each shard records into a private recorder whose content depends only
+	// on that shard's deterministic event sequence; the coordinator merges
+	// them in shard order after Run (see mergeTrace).
 	for _, s := range m.sh {
 		if r == nil {
 			s.tr = nil
@@ -700,86 +672,6 @@ func (m *shard) trapf(format string, args ...any) {
 	}
 }
 
-// Run executes the program's main function on node 0 and simulates until
-// completion (or deadlock/trap).
-func (m *Machine) Run() (*Result, error) {
-	maxEvents := m.cfg.MaxEvents
-	if maxEvents == 0 {
-		maxEvents = 500_000_000
-	}
-	if len(m.sh) > 1 {
-		return m.runSharded(maxEvents)
-	}
-	return m.runLegacy(maxEvents)
-}
-
-// runLegacy is the historical sequential event loop: one shard owns every
-// node and events dispatch in global (time, seq) order. Byte-for-byte
-// behaviour (Result, trace, series, allocation profile) is pinned by the
-// zero-cost and golden tests, so this path changes only with great care.
-func (m *Machine) runLegacy(maxEvents int64) (*Result, error) {
-	s := m.sh[0]
-	s.wallLimit = m.wallLimit
-	if s.wallLimit > 0 {
-		s.wallDeadline = time.Now().Add(s.wallLimit)
-	}
-	s.ctx = m.ctx
-	main := s.newFiber(0, m.prog.Main, nil, replyRoute{kind: 0})
-	s.enqueueReady(m.nodes[0], main, 0)
-
-	for len(s.events) > 0 {
-		if s.trap != nil {
-			return nil, s.trap
-		}
-		s.nEvents++
-		if s.nEvents > maxEvents {
-			return nil, fmt.Errorf("earthsim: %w: event budget exceeded (%d events, t=%dns) — livelock? %s%s",
-				ErrFuelExhausted, s.nEvents, s.lastTime, s.fiberStates(), s.blockedReport())
-		}
-		if s.wallLimit > 0 && s.nEvents&4095 == 0 && time.Now().After(s.wallDeadline) {
-			return nil, fmt.Errorf("earthsim: %w: host wall clock exceeded %s (t=%dns, %d events)",
-				ErrDeadline, s.wallLimit, s.lastTime, s.nEvents)
-		}
-		if s.ctx != nil && s.nEvents&4095 == 0 {
-			if s.ctxCheck(); s.trap != nil {
-				return nil, s.trap
-			}
-		}
-		ev := s.events.pop()
-		if s.ms != nil {
-			s.sampleTick(ev.time)
-		}
-		s.lastTime = ev.time
-		s.dispatch(ev)
-		if s.mainDone && s.liveFibers == 0 {
-			break
-		}
-	}
-	// Close the time series with one sample at the end of activity, so short
-	// runs (under one interval) still record something and the final state is
-	// always visible. Skipped when the last boundary sample already covers it.
-	if s.ms != nil && s.lastTime > s.ms.last {
-		s.takeSample(s.lastTime)
-	}
-	if s.trap != nil {
-		return nil, s.trap
-	}
-	if !s.mainDone {
-		return nil, fmt.Errorf("earthsim: %w — event queue drained with main incomplete (%d live fibers)%s",
-			ErrDeadlock, s.liveFibers, s.blockedReport())
-	}
-	res := &Result{Time: s.mainTime, Counts: s.counts, Events: s.nEvents,
-		Output: renderOutput(s.output), MainRet: s.mainRet}
-	if s.prof != nil {
-		s.prof.Runs = 1
-		res.Profile = s.prof
-	}
-	if s.fstats != nil {
-		res.Faults = s.fstats
-	}
-	return res, nil
-}
-
 // renderOutput merges print records into the final program output. The sort
 // is stable across execution strategies: time first, then the sequence tag
 // (per-shard tags embed the shard id in the high bits, so equal-time prints
@@ -799,12 +691,8 @@ func renderOutput(items []outItem) string {
 }
 
 // fiberID tags a fiber ordinal with the owning shard so ids stay unique
-// machine-wide. Legacy mode (shard 0, single) keeps the historical plain
-// ordinals.
+// machine-wide.
 func (m *shard) fiberID(ordinal int64) int64 {
-	if m.single {
-		return ordinal
-	}
 	return int64(m.id)<<32 | ordinal
 }
 

@@ -60,14 +60,16 @@ func TestSUTaskSerialization(t *testing.T) {
 }
 
 // TestNetFIFO: messages between one (src, dst) pair arrive in send order
-// even when a later message is smaller/faster.
+// even when a later message is smaller/faster — as delivered to the
+// receiving shard's queue at the barrier.
 func TestNetFIFO(t *testing.T) {
 	prog := &threaded.Program{
 		Funcs: map[string]*threaded.FnCode{"main": {Name: "main", NSlots: 1,
 			Code: []threaded.Instr{{Op: threaded.OpRet, A: -1}}}},
 	}
 	prog.Main = prog.Funcs["main"]
-	m := New(prog, DefaultConfig(2)).sh[0]
+	mc := New(prog, DefaultConfig(2))
+	m, recv := mc.sh[0], mc.sh[1]
 	src, dst := m.nodes[0], m.nodes[1]
 	// A large (slow) message sent first, then a zero-payload one.
 	g1, g2 := m.getMsg(), m.getMsg()
@@ -75,12 +77,21 @@ func TestNetFIFO(t *testing.T) {
 	g2.class, g2.stage = trace.ClassGet, 2
 	m.netSched(src, dst, 0, 100, g1)
 	m.netSched(src, dst, 1, 0, g2)
-	var order []*msg
-	for len(m.events) > 0 {
-		order = append(order, m.events.pop().g)
+	if len(m.events) != 0 {
+		t.Fatalf("cross-node arrivals scheduled on the sending shard: %d events", len(m.events))
 	}
-	if len(order) != 2 || order[0] != g1 || order[1] != g2 {
-		t.Errorf("per-link FIFO violated: %v", order)
+	if got := post(m, 1, nil); len(got) != 1 || got[0] != recv {
+		t.Fatalf("mail receivers = %v, want only shard 1", got)
+	}
+	var order []*msg
+	var times []int64
+	for len(recv.events) > 0 {
+		ev := recv.events.pop()
+		order = append(order, ev.g)
+		times = append(times, ev.time)
+	}
+	if len(order) != 2 || order[0] != g1 || order[1] != g2 || times[0] >= times[1] {
+		t.Errorf("per-link FIFO violated: %v at %v", order, times)
 	}
 }
 

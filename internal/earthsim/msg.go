@@ -98,7 +98,7 @@ func (m *shard) suSched(n *node, t, svc int64, g *msg) {
 	n.suFree = done
 	m.tr.SUSpan(n.id, msgLabels[g.class][g.stage-1], g.mid, t, start, done)
 	if m.ms != nil {
-		m.ms.suObserve(n.id, done-start, done)
+		m.ms.suObserve(done-start, done)
 	}
 	m.schedule(done, evSUEffect, n.id, g)
 }

@@ -1,35 +1,43 @@
 package earthsim
 
-// Sharded execution: one event-loop shard per simulated node, synchronized
-// by conservative lookahead (a barrier-synchronous variant of the classic
-// null-message protocol). The coordinator repeatedly:
+// The event loop: one event-loop shard per simulated node, synchronized by
+// conservative lookahead (a barrier-synchronous variant of the classic
+// null-message protocol). Every run takes this path, whatever the node
+// count, wire latency or worker count. The coordinator repeatedly:
 //
 //  1. delivers cross-shard mail buffered during the previous round, in
 //     (sender shard id, send order) — a total order independent of how many
 //     worker goroutines ran the windows;
 //  2. computes T1 = min over shards of the local event-heap head and T2 =
 //     the second such minimum;
-//  3. grants every shard a window bound below which it may dispatch events
-//     without seeing a message it has not received yet: messages generated
-//     this round originate at times ≥ T1 and need the wire latency L to
-//     arrive, so T1+L is safe for everyone; the shard holding T1 itself is
-//     additionally safe up to min(T2+L, T1+2L) — nothing can reach it
-//     earlier, neither directly from another shard (≥ T2+L) nor relayed off
-//     its own sends (≥ T1+2L);
+//  3. grants every shard an inclusive limit through which it may dispatch
+//     events without seeing a message it has not received yet: messages
+//     generated this round originate at times ≥ T1 and need the wire
+//     latency L to arrive, so T1+L-1 is safe for everyone; the shard holding
+//     T1 itself is additionally safe through min(T2+L, T1+2L)-1 — nothing
+//     can reach it earlier, neither directly from another shard (≥ T2+L)
+//     nor relayed off its own sends (≥ T1+2L). Both limits are clamped at
+//     T1;
 //  4. runs the active shards' windows on a worker pool (inline when
 //     SimWorkers is 1) and barriers.
 //
-// Determinism: the bounds depend only on heap heads, mail delivery order is
+// Determinism: the limits depend only on heap heads, mail delivery order is
 // fixed, and each window is a sequential per-shard replay — so the division
 // of windows among workers cannot alter any outcome, and the run is
 // bit-identical (Result, trace, telemetry) across SimWorkers counts.
-// Progress: the bound of the shard holding T1 strictly exceeds T1 (L ≥ 1),
-// so every round dispatches at least one event.
+//
+// Progress and safety at the edges. For L ≥ 1 the limit of the shard
+// holding T1 is at least T1+L-1 ≥ T1, so every round dispatches at least one
+// event. For L = 0 the clamp at T1 makes every active shard, the argmin
+// included, dispatch only events at exactly T1: mail it sends arrives no
+// earlier than T1, and is delivered next round, still at T1 — never into a
+// receiver's past, since no shard has dispatched anything beyond T1. A
+// one-node machine has no cross-shard mail, so its lookahead is unbounded
+// (see New) and its one shard runs the whole simulation in one window.
 
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -45,10 +53,10 @@ const midMask = int64(1)<<40 - 1
 // encMid tags a shard-local trace message id with the owning shard so a
 // reference that travels with the message — into another shard's spans,
 // fault events, or completion path — can find its way back to the recorder
-// that issued it. Legacy mode keeps plain ids; 0 stays "no message" (which
-// also covers tracing disabled).
+// that issued it. 0 stays "no message" (which also covers tracing
+// disabled).
 func (m *shard) encMid(local int64) int64 {
-	if m.single || local == 0 {
+	if local == 0 {
 		return local
 	}
 	return int64(m.id+1)<<40 | local
@@ -59,10 +67,6 @@ func (m *shard) encMid(local int64) int64 {
 // foreignDones, applied before the trace merge at Run end — Done is a single
 // idempotent field write per message, so deferral cannot reorder anything).
 func (m *shard) msgDone(mid, t int64) {
-	if m.single {
-		m.tr.MsgDone(mid, t)
-		return
-	}
 	if mid == 0 {
 		return
 	}
@@ -73,18 +77,41 @@ func (m *shard) msgDone(mid, t int64) {
 	m.foreignDones = append(m.foreignDones, doneRec{mid: mid, at: t})
 }
 
-// windowJob asks a worker to run one shard's window up to bound.
-type windowJob struct {
-	s     *shard
-	bound int64
+// totals are the machine-wide sums the coordinator keeps incrementally:
+// each window's deltas fold in at the barrier that ends it.
+type totals struct {
+	instr, events, live int64
 }
 
-// runWindow dispatches the shard's local events strictly below bound,
-// stopping early on a trap. Mirrors one slice of the legacy loop body; the
-// global event budget and wall clock are enforced here as per-shard
-// backstops (a runaway window must not outlive the barrier checks).
-func (s *shard) runWindow(bound int64) {
-	for len(s.events) > 0 && s.events[0].time < bound {
+// begin snapshots the state a window starts from: the rest of the machine's
+// instructions (for the shared fuel budget) and the shard's own counters,
+// whose deltas fold picks up at the barrier.
+func (s *shard) begin(totalInstr int64) {
+	s.othersInstr = totalInstr - s.counts.Instructions
+	s.barInstr = s.counts.Instructions
+	s.barEvents = s.nEvents
+	s.barLive = s.liveFibers
+}
+
+// fold adds the deltas of s's last window to the totals.
+func (t *totals) fold(s *shard) {
+	t.instr += s.counts.Instructions - s.barInstr
+	t.events += s.nEvents - s.barEvents
+	t.live += s.liveFibers - s.barLive
+}
+
+// windowJob asks a worker to run one shard's window through limit.
+type windowJob struct {
+	s     *shard
+	limit int64
+}
+
+// runWindow dispatches the shard's local events at times ≤ limit, stopping
+// early on a trap. The global event budget and wall clock are enforced here
+// as per-shard backstops (a runaway window must not outlive the barrier
+// checks).
+func (s *shard) runWindow(limit int64) {
+	for len(s.events) > 0 && s.events[0].time <= limit {
 		if s.trap != nil {
 			return
 		}
@@ -213,13 +240,33 @@ func (h *shardHeap) refresh(s *shard) {
 	}
 }
 
-// runSharded is Machine.Run for the sharded engine. The round structure —
-// barrier, T1/T2 bounds, windows, mail — is described in the package
-// comment above; this implementation keeps every machine-wide quantity
-// (head order, instruction/event/fiber totals) incrementally, touching only
-// the round's active shards and mail receivers, so coordinator overhead
-// scales with traffic rather than machine size.
-func (m *Machine) runSharded(maxEvents int64) (*Result, error) {
+// post delivers s's outbox to the receiving shards' queues in send order,
+// appending every receiver not yet stamped this round to recv.
+func post(s *shard, round int64, recv []*shard) []*shard {
+	for i, o := range s.outbox {
+		o.to.schedule(o.at, evNetArrive, o.node, o.g)
+		if o.to.mailStamp != round {
+			o.to.mailStamp = round
+			recv = append(recv, o.to)
+		}
+		s.outbox[i] = mail{}
+	}
+	s.outbox = s.outbox[:0]
+	return recv
+}
+
+// Run executes the program's main function on node 0 and simulates until
+// completion (or deadlock/trap). The round structure — barrier, T1/T2
+// limits, windows, mail — is described in the file comment above; this
+// implementation keeps every machine-wide quantity (head order,
+// instruction/event/fiber totals) incrementally, touching only the round's
+// active shards and mail receivers, so coordinator overhead scales with
+// traffic rather than machine size.
+func (m *Machine) Run() (*Result, error) {
+	maxEvents := m.cfg.MaxEvents
+	if maxEvents == 0 {
+		maxEvents = 500_000_000
+	}
 	var deadline time.Time
 	if m.wallLimit > 0 {
 		deadline = time.Now().Add(m.wallLimit)
@@ -245,7 +292,7 @@ func (m *Machine) runSharded(maxEvents int64) (*Result, error) {
 		for w := 0; w < m.workers; w++ {
 			go func() {
 				for j := range jobs {
-					j.s.runWindow(j.bound)
+					j.s.runWindow(j.limit)
 					wg.Done()
 				}
 			}()
@@ -256,12 +303,12 @@ func (m *Machine) runSharded(maxEvents int64) (*Result, error) {
 	// Incremental machine-wide totals; windows fold their deltas in at each
 	// barrier. Only shard 0 has any state yet (the main fiber), but summing
 	// the loop keeps no assumptions.
-	var totalInstr, totalEvents, live int64
+	var tot totals
 	heads := shardHeap{a: make([]*shard, 0, len(m.sh))}
 	for _, s := range m.sh {
-		totalInstr += s.counts.Instructions
-		totalEvents += s.nEvents
-		live += s.liveFibers
+		tot.instr += s.counts.Instructions
+		tot.events += s.nEvents
+		tot.live += s.liveFibers
 		if len(s.events) > 0 {
 			s.head = s.events[0].time
 			heads.push(s)
@@ -270,32 +317,40 @@ func (m *Machine) runSharded(maxEvents int64) (*Result, error) {
 
 	L := m.lookahead
 	actives := make([]*shard, 0, len(m.sh))
+	senders := make([]*shard, 0, 8)
 	recv := make([]*shard, 0, 8)
-	var round int64
+	var round, nextPoll int64
 	for {
 		round++
-		if s0.mainDone && live == 0 {
+		if s0.mainDone && tot.live == 0 {
 			break
 		}
 		if heads.len() == 0 {
 			return m.fail(fmt.Errorf("earthsim: %w — event queues drained with main incomplete (%d live fibers)%s",
-				ErrDeadlock, live, m.blockedReports()))
+				ErrDeadlock, tot.live, m.blockedReports()))
 		}
 		t1 := heads.a[0].head
-		if totalEvents > maxEvents {
+		if tot.events > maxEvents {
 			return m.fail(fmt.Errorf("earthsim: %w: event budget exceeded (%d events, t=%dns) — livelock?%s",
-				ErrFuelExhausted, totalEvents, t1, m.blockedReports()))
+				ErrFuelExhausted, tot.events, t1, m.blockedReports()))
 		}
-		if m.wallLimit > 0 && time.Now().After(deadline) {
-			return m.fail(fmt.Errorf("earthsim: %w: host wall clock exceeded %s (t=%dns, %d events)",
-				ErrDeadline, m.wallLimit, t1, totalEvents))
-		}
-		if m.ctx != nil {
-			select {
-			case <-m.ctx.Done():
-				return m.fail(fmt.Errorf("earthsim: %w: %v (t=%dns, %d events)",
-					ErrCanceled, m.ctx.Err(), t1, totalEvents))
-			default:
+		// The host clock and the context are polled every 4096 events
+		// machine-wide, the cadence the windows use per shard: a round often
+		// dispatches only a few events, and reading the clock every round
+		// costs more than the events.
+		if tot.events >= nextPoll {
+			nextPoll = tot.events + 4096
+			if m.wallLimit > 0 && time.Now().After(deadline) {
+				return m.fail(fmt.Errorf("earthsim: %w: host wall clock exceeded %s (t=%dns, %d events)",
+					ErrDeadline, m.wallLimit, t1, tot.events))
+			}
+			if m.ctx != nil {
+				select {
+				case <-m.ctx.Done():
+					return m.fail(fmt.Errorf("earthsim: %w: %v (t=%dns, %d events)",
+						ErrCanceled, m.ctx.Err(), t1, tot.events))
+				default:
+				}
 			}
 		}
 		if m.sampler != nil {
@@ -303,18 +358,21 @@ func (m *Machine) runSharded(maxEvents int64) (*Result, error) {
 		}
 
 		// Pop this round's active shards: argmin first (T2 is the next head
-		// once it is out), then everyone below the shared bound T1+L. The
-		// argmin's own bound may reach further — min(T2+L, T1+2L): nothing
-		// can reach it earlier, neither directly from another shard (≥ T2+L)
-		// nor relayed off its own sends (≥ T1+2L).
-		boundOthers := satAdd(t1, L)
+		// once it is out), then everyone through the shared limit T1+L-1.
+		// The argmin's own limit may reach further — min(T2+L, T1+2L)-1:
+		// nothing can reach it earlier, neither directly from another shard
+		// (≥ T2+L) nor relayed off its own sends (≥ T1+2L). Both limits are
+		// clamped at T1, which only binds when L = 0.
+		limOthers := max(t1, satAdd(t1, L)-1)
+		relay := satAdd(satAdd(t1, L), L)
 
 		// Single-active fast path. The second-smallest head is the lesser
 		// root child (every other shard sits below one of them); when it
-		// clears T1+L the argmin runs alone, its bound simplifies to T1+2L
-		// (T2+L ≥ T1+2L here), and the pop/push, active-list, and sort
-		// machinery all degenerate — run the window with the shard still in
-		// the heap and re-key it in place. On nearest-neighbor workloads
+		// clears the shared limit the argmin runs alone, its limit
+		// simplifies to T1+2L-1 (T2+L ≥ T1+2L here), and the pop/push and
+		// active-list machinery degenerates — run the window with the shard
+		// still in the heap and re-key it in place. On
+		// nearest-neighbor workloads, and always on a one-node machine,
 		// almost every round takes this path.
 		t2peek := int64(math.MaxInt64)
 		if n := heads.len(); n > 1 {
@@ -323,29 +381,15 @@ func (m *Machine) runSharded(maxEvents int64) (*Result, error) {
 				t2peek = heads.a[2].head
 			}
 		}
-		if t2peek >= boundOthers {
+		if t2peek > limOthers {
 			s := heads.a[0]
-			s.othersInstr = totalInstr - s.counts.Instructions
-			s.barInstr = s.counts.Instructions
-			s.barEvents = s.nEvents
-			s.barLive = s.liveFibers
-			s.runWindow(satAdd(t1, 2*L))
-			totalInstr += s.counts.Instructions - s.barInstr
-			totalEvents += s.nEvents - s.barEvents
-			live += s.liveFibers - s.barLive
+			s.begin(tot.instr)
+			s.runWindow(max(t1, relay-1))
+			tot.fold(s)
 			if s.trap != nil {
 				return m.fail(s.trap)
 			}
-			recv = recv[:0]
-			for i, o := range s.outbox {
-				o.to.schedule(o.at, evNetArrive, o.node, o.g)
-				if o.to.mailStamp != round {
-					o.to.mailStamp = round
-					recv = append(recv, o.to)
-				}
-				s.outbox[i] = mail{}
-			}
-			s.outbox = s.outbox[:0]
+			recv = post(s, round, recv[:0])
 			if len(s.events) > 0 {
 				s.head = s.events[0].time
 				heads.fix(s.hpos)
@@ -363,78 +407,63 @@ func (m *Machine) runSharded(maxEvents int64) (*Result, error) {
 		if heads.len() > 0 {
 			t2 = heads.a[0].head
 		}
-		boundMin := min(satAdd(t2, L), satAdd(t1, 2*L))
+		limMin := max(t1, min(satAdd(t2, L), relay)-1)
 		actives = actives[:0]
 		actives = append(actives, amin)
-		for heads.len() > 0 && heads.a[0].head < boundOthers {
+		for heads.len() > 0 && heads.a[0].head <= limOthers {
 			actives = append(actives, heads.pop())
 		}
-
-		// Snapshot the totals each window starts from. othersInstr is set
-		// for every active before any window runs, so the fuel view cannot
-		// depend on how workers interleave windows.
 		for _, s := range actives {
-			s.othersInstr = totalInstr - s.counts.Instructions
-			s.barInstr = s.counts.Instructions
-			s.barEvents = s.nEvents
-			s.barLive = s.liveFibers
-		}
-
-		if inline {
-			for _, s := range actives {
-				bound := boundOthers
-				if s == amin {
-					bound = boundMin
-				}
-				s.runWindow(bound)
+			limit := limOthers
+			if s == amin {
+				limit = limMin
 			}
-		} else {
-			for _, s := range actives {
-				bound := boundOthers
-				if s == amin {
-					bound = boundMin
-				}
+			// begin reads only the barrier totals and the shard's own state,
+			// which no other window touches, so the fuel view cannot depend
+			// on how workers interleave windows.
+			s.begin(tot.instr)
+			if inline {
+				s.runWindow(limit)
+			} else {
 				wg.Add(1)
-				jobs <- windowJob{s, bound}
+				jobs <- windowJob{s, limit}
 			}
+		}
+		if !inline {
 			wg.Wait()
 		}
 
 		// Barrier: surface the lowest-id trap, fold window deltas into the
-		// running totals, then deliver mail in (sender shard id, send order)
-		// and re-key every shard whose queue changed.
+		// running totals, put the actives with events left back in the head
+		// heap, then deliver mail in (sender shard id, send order) and re-key
+		// every receiver whose queue changed.
 		var trapped *shard
+		senders = senders[:0]
 		for _, s := range actives {
 			if s.trap != nil && (trapped == nil || s.id < trapped.id) {
 				trapped = s
 			}
-			totalInstr += s.counts.Instructions - s.barInstr
-			totalEvents += s.nEvents - s.barEvents
-			live += s.liveFibers - s.barLive
-		}
-		if trapped != nil {
-			return m.fail(trapped.trap)
-		}
-		slices.SortFunc(actives, func(a, b *shard) int { return a.id - b.id })
-		recv = recv[:0]
-		for _, s := range actives {
-			for i, o := range s.outbox {
-				o.to.schedule(o.at, evNetArrive, o.node, o.g)
-				if o.to.mailStamp != round {
-					o.to.mailStamp = round
-					recv = append(recv, o.to)
+			tot.fold(s)
+			if len(s.outbox) > 0 {
+				// Insertion keeps senders sorted by id; a round has a handful.
+				i := len(senders)
+				senders = append(senders, s)
+				for ; i > 0 && senders[i-1].id > s.id; i-- {
+					senders[i] = senders[i-1]
 				}
-				s.outbox[i] = mail{}
+				senders[i] = s
 			}
-			s.outbox = s.outbox[:0]
-		}
-		// Actives are out of the heap; reinsert the ones with events left
-		// (their queues now include any mail from this round).
-		for _, s := range actives {
 			if len(s.events) > 0 {
 				s.head = s.events[0].time
 				heads.push(s)
 			}
+		}
+		if trapped != nil {
+			return m.fail(trapped.trap)
+		}
+		recv = recv[:0]
+		for _, s := range senders {
+			recv = post(s, round, recv)
 		}
 		for _, r := range recv {
 			heads.refresh(r)
@@ -469,11 +498,11 @@ func (m *Machine) blockedReports() string {
 }
 
 // closeSamples merges every whole sampling boundary the run reached and then
-// closes the series with one sample at the end of activity, mirroring the
-// legacy loop's closing sample. Safe on every exit path; no-op without a
-// sampler.
+// closes the series with one sample at the end of activity, so short runs
+// (under one interval) still record something and the final state is always
+// visible. Safe on every exit path; no-op without a sampler.
 func (m *Machine) closeSamples() {
-	if m.sampler == nil || len(m.sh) < 2 {
+	if m.sampler == nil {
 		return
 	}
 	var tmax int64
@@ -488,16 +517,23 @@ func (m *Machine) closeSamples() {
 
 // mergeOne builds and records the machine-wide sample at time t from one
 // per-shard contribution each. With closing set the shards snapshot their
-// final state at t; otherwise they flush any boundary ticks their own event
+// final state at t; otherwise they take any boundary samples their own event
 // flow has not reached.
 func (m *Machine) mergeOne(t int64, closing bool) {
 	sm := metrics.SimSample{Time: t, Nodes: make([]metrics.NodeSample, len(m.nodes))}
+	nlinks := 0
 	for _, sh := range m.sh {
 		if closing {
 			sh.takeSample(t)
 		} else {
-			sh.flushTicksTo(t)
+			sh.sampleTick(t)
 		}
+		nlinks += len(sh.ms.pend[sh.ms.pendAt].links)
+	}
+	if nlinks > 0 {
+		sm.Links = make([]metrics.LinkSample, 0, nlinks)
+	}
+	for _, sh := range m.sh {
 		ss := &sh.ms.pend[sh.ms.pendAt]
 		sh.ms.pendAt++
 		sm.Instructions += ss.instructions
@@ -511,12 +547,13 @@ func (m *Machine) mergeOne(t int64, closing bool) {
 		sm.Dups += ss.dups
 		sm.Stalls += ss.stalls
 		sm.Nodes[sh.id] = ss.node
-		// Shard i's out-links all carry keys with src=i, so appending in shard
-		// order yields the same key-sorted order the legacy loop emits.
+		// Shard i's out-links all leave node i, sorted by destination, so
+		// appending in shard order sorts the links by (src, dst).
 		sm.Links = append(sm.Links, ss.links...)
 		if sh.ms.pendAt == len(sh.ms.pend) {
 			sh.ms.pend = sh.ms.pend[:0]
 			sh.ms.pendAt = 0
+			sh.ms.linkBuf = sh.ms.linkBuf[:0]
 		}
 	}
 	m.gLast = t
@@ -527,7 +564,7 @@ func (m *Machine) mergeOne(t int64, closing bool) {
 // shard order, renumbering message ids shard by shard. Deferred cross-shard
 // completions are applied to their owning recorders first.
 func (m *Machine) mergeTrace() {
-	if m.tr == nil || len(m.sh) < 2 {
+	if m.tr == nil {
 		return
 	}
 	for _, s := range m.sh {

@@ -11,10 +11,11 @@ import (
 func run(t *testing.T, src string, nodes int, optimize bool) *earthsim.Result {
 	t.Helper()
 	p := core.NewPipeline(core.Options{Optimize: optimize})
-	u, err := p.Compile("t.ec", src)
+	cr, err := p.Do(core.CompileRequest{Name: "t.ec", Source: src})
 	if err != nil {
 		t.Fatal(err)
 	}
+	u := cr.Unit
 	res, err := p.Run(u, core.RunConfig{Nodes: nodes})
 	if err != nil {
 		t.Fatal(err)
@@ -25,10 +26,11 @@ func run(t *testing.T, src string, nodes int, optimize bool) *earthsim.Result {
 func runErr(t *testing.T, src string, nodes int) error {
 	t.Helper()
 	p := core.NewPipeline(core.Options{})
-	u, err := p.Compile("t.ec", src)
+	cr, err := p.Do(core.CompileRequest{Name: "t.ec", Source: src})
 	if err != nil {
 		return err
 	}
+	u := cr.Unit
 	_, err = p.Run(u, core.RunConfig{Nodes: nodes})
 	return err
 }
@@ -287,10 +289,11 @@ int main() {
 }
 `
 	p := core.NewPipeline(core.Options{})
-	u, err := p.Compile("t.ec", src)
+	cr, err := p.Do(core.CompileRequest{Name: "t.ec", Source: src})
 	if err != nil {
 		t.Fatal(err)
 	}
+	u := cr.Unit
 	seq, err := p.Run(u, core.RunConfig{Nodes: 1, Sequential: true})
 	if err != nil {
 		t.Fatal(err)
@@ -312,10 +315,11 @@ func TestInfiniteLoopTrapped(t *testing.T) {
 	cfg := earthsim.DefaultConfig(1)
 	cfg.MaxFiberInstr = 10000
 	p := core.NewPipeline(core.Options{})
-	u, err := p.Compile("t.ec", `int main() { int x; x = 0; while (x == 0) { } return x; }`)
+	cr, err := p.Do(core.CompileRequest{Name: "t.ec", Source: `int main() { int x; x = 0; while (x == 0) { } return x; }`})
 	if err != nil {
 		t.Fatal(err)
 	}
+	u := cr.Unit
 	_, err = p.Run(u, core.RunConfig{Nodes: 1, Machine: &cfg})
 	if err == nil || !strings.Contains(err.Error(), "runaway") {
 		t.Errorf("expected a runaway trap, got %v", err)
@@ -395,7 +399,7 @@ func TestMemoryBudgetTrapped(t *testing.T) {
 	cfg.MaxNodeWords = 4096
 	cfg.MaxFiberInstr = 50_000_000
 	p := core.NewPipeline(core.Options{})
-	u, err := p.Compile("t.ec", `
+	cr, err := p.Do(core.CompileRequest{Name: "t.ec", Source: `
 struct Blob { int a; int b; int c; int d; };
 int main() {
 	Blob *p;
@@ -408,11 +412,11 @@ int main() {
 	}
 	return 0;
 }
-`)
+`})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = p.Run(u, core.RunConfig{Nodes: 1, Machine: &cfg})
+	_, err = p.Run(cr.Unit, core.RunConfig{Nodes: 1, Machine: &cfg})
 	if err == nil || !strings.Contains(err.Error(), "out of memory") {
 		t.Errorf("expected an out-of-memory trap, got %v", err)
 	}
@@ -425,14 +429,14 @@ func TestDeepRecursionTrapped(t *testing.T) {
 	cfg.MaxNodeWords = 8192
 	cfg.MaxFiberInstr = 50_000_000
 	p := core.NewPipeline(core.Options{})
-	u, err := p.Compile("t.ec", `
+	cr, err := p.Do(core.CompileRequest{Name: "t.ec", Source: `
 int down(int n) { return down(n + 1); }
 int main() { return down(0); }
-`)
+`})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = p.Run(u, core.RunConfig{Nodes: 1, Machine: &cfg})
+	_, err = p.Run(cr.Unit, core.RunConfig{Nodes: 1, Machine: &cfg})
 	if err == nil || !strings.Contains(err.Error(), "out of memory") {
 		t.Errorf("expected an out-of-memory trap, got %v", err)
 	}

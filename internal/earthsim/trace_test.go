@@ -27,10 +27,11 @@ func oldenQuick() (name, src string) {
 func TestTracingPreservesResult(t *testing.T) {
 	name, src := oldenQuick()
 	plain := core.NewPipeline(core.Options{Optimize: true})
-	u, err := plain.Compile(name, src)
+	cr, err := plain.Do(core.CompileRequest{Name: name, Source: src})
 	if err != nil {
 		t.Fatal(err)
 	}
+	u := cr.Unit
 	rc := core.RunConfig{Nodes: 4}
 	want, err := plain.Run(u, rc)
 	if err != nil {
@@ -87,10 +88,11 @@ func traceOnce(t *testing.T) []byte {
 	name, src := oldenQuick()
 	rec := trace.NewRecorder(4)
 	p := core.NewPipeline(core.Options{Optimize: true, Trace: rec})
-	u, err := p.Compile(name, src)
+	cr, err := p.Do(core.CompileRequest{Name: name, Source: src})
 	if err != nil {
 		t.Fatal(err)
 	}
+	u := cr.Unit
 	if _, err := p.Run(u, core.RunConfig{Nodes: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -147,10 +149,11 @@ func TestTraceSummaryDeterministic(t *testing.T) {
 		name, src := oldenQuick()
 		rec := trace.NewRecorder(4)
 		p := core.NewPipeline(core.Options{Optimize: true, Trace: rec})
-		u, err := p.Compile(name, src)
+		cr, err := p.Do(core.CompileRequest{Name: name, Source: src})
 		if err != nil {
 			t.Fatal(err)
 		}
+		u := cr.Unit
 		if _, err := p.Run(u, core.RunConfig{Nodes: 4}); err != nil {
 			t.Fatal(err)
 		}
@@ -167,10 +170,11 @@ func TestTraceSummaryDeterministic(t *testing.T) {
 func TestCompileStatsPopulated(t *testing.T) {
 	name, src := oldenQuick()
 	p := core.NewPipeline(core.Options{Optimize: true, Stats: true})
-	u, err := p.Compile(name, src)
+	cr, err := p.Do(core.CompileRequest{Name: name, Source: src})
 	if err != nil {
 		t.Fatal(err)
 	}
+	u := cr.Unit
 	st := u.Stats
 	if st == nil {
 		t.Fatal("Stats: true produced no CompileStats")
@@ -191,10 +195,11 @@ func TestCompileStatsPopulated(t *testing.T) {
 		t.Errorf("selection counters empty: %+v", *st)
 	}
 
-	plain, err := core.NewPipeline(core.Options{Optimize: true}).Compile(name, src)
+	cr, err = core.NewPipeline(core.Options{Optimize: true}).Do(core.CompileRequest{Name: name, Source: src})
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain := cr.Unit
 	if plain.Stats != nil {
 		t.Error("plain pipeline attached CompileStats")
 	}

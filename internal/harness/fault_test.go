@@ -34,10 +34,11 @@ const faultTestNodes = 4
 func compileOlden(t *testing.T, bm *olden.Benchmark, opt core.Options) (*core.Pipeline, *core.Unit) {
 	t.Helper()
 	p := core.NewPipeline(opt)
-	u, err := p.Compile(bm.Name+".ec", bm.Source(quickFaultParams(bm)))
+	cr, err := p.Do(core.CompileRequest{Name: bm.Name + ".ec", Source: bm.Source(quickFaultParams(bm))})
 	if err != nil {
 		t.Fatalf("%s: %v", bm.Name, err)
 	}
+	u := cr.Unit
 	return p, u
 }
 

@@ -17,11 +17,11 @@ import (
 // keys on the options, so simple/optimized/stats builds never collide.
 var tableCache = cache.New(0, "")
 
-// SimWorkers, when positive, makes every harness simulator run use the
-// sharded event loop with that many workers (core.RunConfig.SimWorkers;
-// paperbench's -sim-j). All measurements are bit-identical either way — the
-// sharded engine's determinism contract — so this is purely a host-side
-// throughput knob for the sweeps.
+// SimWorkers is the number of goroutines driving every harness simulator
+// run (core.RunConfig.SimWorkers; paperbench's -sim-j; 0 means 1). All
+// measurements are bit-identical for any value — the simulator's
+// determinism contract — so this is purely a host-side throughput knob for
+// the sweeps.
 var SimWorkers int
 
 // compileUnit is the harness's one compile path: every table builds its

@@ -51,10 +51,11 @@ func TestWorkerCountDeterminism(t *testing.T) {
 			var refRes *earthsim.Result
 			for _, workers := range []int{1, 8} {
 				p := core.NewPipeline(core.Options{Optimize: true, Workers: workers})
-				u, err := p.Compile(b.Name+".ec", src)
+				cr, err := p.Do(core.CompileRequest{Name: b.Name + ".ec", Source: src})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
+				u := cr.Unit
 				code := disasmAll(t, u)
 				totals := u.Report.Totals()
 				res, err := p.Run(u, core.RunConfig{Nodes: 4})
@@ -90,10 +91,11 @@ func TestSharedPipelineConcurrency(t *testing.T) {
 	src := b.Source(small(b))
 	p := core.NewPipeline(core.Options{Optimize: true})
 
-	refU, err := p.Compile(b.Name+".ec", src)
+	cr, err := p.Do(core.CompileRequest{Name: b.Name + ".ec", Source: src})
 	if err != nil {
 		t.Fatal(err)
 	}
+	refU := cr.Unit
 	refCode := disasmAll(t, refU)
 	refRes, err := p.Run(refU, core.RunConfig{Nodes: 4})
 	if err != nil {
@@ -110,11 +112,12 @@ func TestSharedPipelineConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			u, err := p.Compile(b.Name+".ec", src)
+			cr, err := p.Do(core.CompileRequest{Name: b.Name + ".ec", Source: src})
 			if err != nil {
 				errs <- err
 				return
 			}
+			u := cr.Unit
 			codes[i] = disasmAll(t, u)
 			// Exercise the shared unit's cached threaded code from all
 			// goroutines at once.

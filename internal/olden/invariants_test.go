@@ -13,10 +13,11 @@ import (
 func TestOneRemoteOpInvariant(t *testing.T) {
 	for _, b := range All() {
 		src := b.Source(small(b))
-		u, err := core.NewPipeline(core.Options{Optimize: true}).Compile(b.Name+".ec", src)
+		cr, err := core.NewPipeline(core.Options{Optimize: true}).Do(core.CompileRequest{Name: b.Name + ".ec", Source: src})
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
+		u := cr.Unit
 		for _, fn := range u.Simple.Funcs {
 			simple.WalkBasics(fn.Body, func(bb *simple.Basic) {
 				n := 0
@@ -52,10 +53,11 @@ func TestOneRemoteOpInvariant(t *testing.T) {
 func TestLabelsStayConsistent(t *testing.T) {
 	for _, b := range All() {
 		src := b.Source(small(b))
-		u, err := core.NewPipeline(core.Options{Optimize: true}).Compile(b.Name+".ec", src)
+		cr, err := core.NewPipeline(core.Options{Optimize: true}).Do(core.CompileRequest{Name: b.Name + ".ec", Source: src})
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
+		u := cr.Unit
 		for _, fn := range u.Simple.Funcs {
 			simple.WalkBasics(fn.Body, func(bb *simple.Basic) {
 				if bb.Label < 0 || bb.Label >= len(fn.Basics) {
@@ -81,10 +83,11 @@ func TestReorderFieldsOnBenchmarks(t *testing.T) {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
 		p := core.NewPipeline(core.Options{Optimize: true, ReorderFields: true})
-		u, err := p.Compile(b.Name+".ec", src)
+		cr, err := p.Do(core.CompileRequest{Name: b.Name + ".ec", Source: src})
 		if err != nil {
 			t.Fatalf("%s reorder: %v", b.Name, err)
 		}
+		u := cr.Unit
 		res, err := p.Run(u, core.RunConfig{Nodes: 2})
 		if err != nil {
 			t.Fatalf("%s reorder run: %v", b.Name, err)
@@ -101,10 +104,11 @@ func TestReorderFieldsOnBenchmarks(t *testing.T) {
 func TestBenchmarkReportsNonTrivial(t *testing.T) {
 	for _, b := range All() {
 		src := b.Source(small(b))
-		u, err := core.NewPipeline(core.Options{Optimize: true}).Compile(b.Name+".ec", src)
+		cr, err := core.NewPipeline(core.Options{Optimize: true}).Do(core.CompileRequest{Name: b.Name + ".ec", Source: src})
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
+		u := cr.Unit
 		tot := u.Report.Totals()
 		if tot.PipelinedReads+tot.BlockedReads == 0 {
 			t.Errorf("%s: no reads selected at all", b.Name)

@@ -13,7 +13,7 @@ func TestBenchmarksCompile(t *testing.T) {
 	for _, b := range All() {
 		src := b.Source(b.DefaultParams)
 		for _, optimize := range []bool{false, true} {
-			_, err := core.NewPipeline(core.Options{Optimize: optimize}).Compile(b.Name+".ec", src)
+			_, err := core.NewPipeline(core.Options{Optimize: optimize}).Do(core.CompileRequest{Name: b.Name + ".ec", Source: src})
 			if err != nil {
 				t.Errorf("%s (optimize=%v): %v", b.Name, optimize, err)
 			}
@@ -25,10 +25,11 @@ func TestBenchmarksCompile(t *testing.T) {
 // given machine size; the common path of the semantic tests here.
 func pipelineRun(name, src string, optimize bool, nodes int) (*earthsim.Result, error) {
 	p := core.NewPipeline(core.Options{Optimize: optimize})
-	u, err := p.Compile(name, src)
+	cr, err := p.Do(core.CompileRequest{Name: name, Source: src})
 	if err != nil {
 		return nil, err
 	}
+	u := cr.Unit
 	return p.Run(u, core.RunConfig{Nodes: nodes})
 }
 
@@ -64,10 +65,11 @@ func TestBenchmarksRun(t *testing.T) {
 			for _, nodes := range []int{1, 4} {
 				for _, optimize := range []bool{false, true} {
 					p := core.NewPipeline(core.Options{Optimize: optimize})
-					u, err := p.Compile(b.Name+".ec", src)
+					cr, err := p.Do(core.CompileRequest{Name: b.Name + ".ec", Source: src})
 					if err != nil {
 						t.Fatalf("%s nodes=%d optimize=%v: %v", b.Name, nodes, optimize, err)
 					}
+					u := cr.Unit
 					res, err := p.Run(u, core.RunConfig{Nodes: nodes})
 					if err != nil {
 						t.Fatalf("%s nodes=%d optimize=%v: %v", b.Name, nodes, optimize, err)
@@ -92,10 +94,11 @@ func TestSequentialBaseline(t *testing.T) {
 	for _, b := range All() {
 		src := b.Source(small(b))
 		p := core.NewPipeline(core.Options{})
-		u, err := p.Compile(b.Name+".ec", src)
+		cr, err := p.Do(core.CompileRequest{Name: b.Name + ".ec", Source: src})
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
+		u := cr.Unit
 		seq, err := p.Run(u, core.RunConfig{Nodes: 1, Sequential: true})
 		if err != nil {
 			t.Fatalf("%s sequential: %v", b.Name, err)

@@ -62,10 +62,11 @@ int main() { return 0; }
 // site keys of its while loop and if statement.
 func compileFreq(t *testing.T) (*core.Unit, *simple.Func, string, string) {
 	t.Helper()
-	u, err := core.NewPipeline(core.Options{NoInline: true}).Compile("t.ec", freqSrc)
+	cr, err := core.NewPipeline(core.Options{NoInline: true}).Do(core.CompileRequest{Name: "t.ec", Source: freqSrc})
 	if err != nil {
 		t.Fatal(err)
 	}
+	u := cr.Unit
 	f := u.Simple.FuncByName("g")
 	if f == nil {
 		t.Fatal("no function g")
@@ -164,10 +165,11 @@ int g(P *p, int k) {
 }
 int main() { return 0; }
 `
-	u, err := core.NewPipeline(core.Options{NoInline: true}).Compile("t.ec", src)
+	cr, err := core.NewPipeline(core.Options{NoInline: true}).Do(core.CompileRequest{Name: "t.ec", Source: src})
 	if err != nil {
 		t.Fatal(err)
 	}
+	u := cr.Unit
 	f := u.Simple.FuncByName("g")
 	var swKey string
 	simple.WalkStmts(f.Body, func(s simple.Stmt) {

@@ -13,10 +13,11 @@ import (
 // the placement analysis, returning the function and its sets.
 func analyze(t *testing.T, src, fn string) (*simple.Func, *placement.Result) {
 	t.Helper()
-	u, err := core.NewPipeline(core.Options{NoInline: true}).Compile("t.ec", src)
+	cr, err := core.NewPipeline(core.Options{NoInline: true}).Do(core.CompileRequest{Name: "t.ec", Source: src})
 	if err != nil {
 		t.Fatal(err)
 	}
+	u := cr.Unit
 	res := placement.Analyze(u.Simple, u.RWSets, u.Locality)
 	f := u.Simple.FuncByName(fn)
 	if f == nil {

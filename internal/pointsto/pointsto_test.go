@@ -10,10 +10,11 @@ import (
 
 func analyze(t *testing.T, src string) (*simple.Program, *pointsto.Result) {
 	t.Helper()
-	u, err := core.NewPipeline(core.Options{NoInline: true}).Compile("t.ec", src)
+	cr, err := core.NewPipeline(core.Options{NoInline: true}).Do(core.CompileRequest{Name: "t.ec", Source: src})
 	if err != nil {
 		t.Fatal(err)
 	}
+	u := cr.Unit
 	return u.Simple, u.PointsTo
 }
 

@@ -72,9 +72,10 @@ type Config struct {
 	MaxFuel int64
 	// JobDeadline bounds host wall-clock time per job run (default 60s).
 	JobDeadline time.Duration
-	// SimWorkers selects the simulator's sharded event loop for every job
-	// (earthsim.Config.SimWorkers; 0 = the classic sequential loop). Results
-	// are bit-identical either way, so this is purely a throughput knob.
+	// SimWorkers is the number of goroutines driving each job's simulator
+	// windows (earthsim.Config.SimWorkers; 0 means 1, negative is an
+	// error). Results are bit-identical for any value, so this is purely a
+	// throughput knob.
 	SimWorkers int
 	// RetryAfter is the hint returned with 429/503 responses (default 1s).
 	RetryAfter time.Duration
@@ -236,6 +237,9 @@ func New(cfg Config) *Server {
 // previous process re-enter the queue in the background; completed ones
 // answer re-submissions from their journaled payloads.
 func Open(cfg Config) (*Server, error) {
+	if cfg.SimWorkers < 0 {
+		return nil, fmt.Errorf("SimWorkers must be ≥ 0, got %d", cfg.SimWorkers)
+	}
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,

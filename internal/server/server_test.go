@@ -649,3 +649,16 @@ func TestJobErrorFormat(t *testing.T) {
 		t.Error("jobError should print its message")
 	}
 }
+
+// TestOpenRejectsNegativeSimWorkers: a negative simulator worker count is a
+// configuration error, not a silent default.
+func TestOpenRejectsNegativeSimWorkers(t *testing.T) {
+	s, err := Open(Config{Shards: 1, SimWorkers: -1})
+	if err == nil {
+		s.Drain(context.Background())
+		t.Fatal("Open accepted SimWorkers=-1")
+	}
+	if !strings.Contains(err.Error(), "SimWorkers") {
+		t.Errorf("error does not name SimWorkers: %v", err)
+	}
+}

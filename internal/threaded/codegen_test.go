@@ -9,10 +9,11 @@ import (
 
 func gen(t *testing.T, src string, seq bool) *threaded.Program {
 	t.Helper()
-	u, err := core.NewPipeline(core.Options{NoInline: true}).Compile("t.ec", src)
+	cr, err := core.NewPipeline(core.Options{NoInline: true}).Do(core.CompileRequest{Name: "t.ec", Source: src})
 	if err != nil {
 		t.Fatal(err)
 	}
+	u := cr.Unit
 	tp, err := u.Threaded(threaded.Options{Sequential: seq})
 	if err != nil {
 		t.Fatal(err)

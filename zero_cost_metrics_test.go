@@ -50,10 +50,11 @@ func TestMetricsZeroCostWhenDisabled(t *testing.T) {
 	// optimized, 4 nodes, no telemetry.
 	bm := olden.ByName("power")
 	p := core.NewPipeline(core.Options{Optimize: true})
-	u, err := p.Compile("power.ec", bm.Source(quickParams(bm)))
+	cr, err := p.Do(core.CompileRequest{Name: "power.ec", Source: bm.Source(quickParams(bm))})
 	if err != nil {
 		t.Fatal(err)
 	}
+	u := cr.Unit
 	res, err := p.Run(u, core.RunConfig{Nodes: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -82,10 +83,11 @@ func TestMetricsRegistryRunOverheadBounded(t *testing.T) {
 	bm := olden.ByName("power")
 	reg := metrics.NewRegistry()
 	p := core.NewPipeline(core.Options{Optimize: true, Metrics: reg})
-	u, err := p.Compile("power.ec", bm.Source(quickParams(bm)))
+	cr, err := p.Do(core.CompileRequest{Name: "power.ec", Source: bm.Source(quickParams(bm))})
 	if err != nil {
 		t.Fatal(err)
 	}
+	u := cr.Unit
 	// Prime: the first run registers the counters (which allocates once).
 	res, err := p.Run(u, core.RunConfig{Nodes: 4})
 	if err != nil {

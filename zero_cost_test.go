@@ -43,10 +43,11 @@ func TestFaultLayerZeroCostWhenDisabled(t *testing.T) {
 	// optimized, 4 nodes, no faults.
 	bm := olden.ByName("power")
 	p := core.NewPipeline(core.Options{Optimize: true})
-	u, err := p.Compile("power.ec", bm.Source(quickParams(bm)))
+	cr, err := p.Do(core.CompileRequest{Name: "power.ec", Source: bm.Source(quickParams(bm))})
 	if err != nil {
 		t.Fatal(err)
 	}
+	u := cr.Unit
 	res, err := p.Run(u, core.RunConfig{Nodes: 4})
 	if err != nil {
 		t.Fatal(err)
