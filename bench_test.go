@@ -9,7 +9,8 @@
 // interesting quantities (simulated nanoseconds, operation counts,
 // improvement percentages) are attached as custom metrics, so
 // `go test -bench=. -benchmem` prints both host cost and the reproduced
-// numbers.
+// numbers. The host-independent part of that output — exact counts and
+// allocation ceilings — is pinned by TestPerfPins.
 package repro_test
 
 import (
@@ -21,9 +22,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/olden"
 )
-
-// quickParams keeps each simulated run in the tens of milliseconds.
-func quickParams(bm *olden.Benchmark) olden.Params { return olden.QuickParams(bm) }
 
 // BenchmarkTable1 regenerates the Table I microbenchmarks once per
 // iteration and reports the measured per-operation costs.
@@ -51,15 +49,14 @@ func BenchmarkFig10(b *testing.B) {
 			// Prime the harness's shared compile cache so allocs/op measures
 			// the warm measure-and-simulate cycle regardless of b.N: without
 			// this the cold compile amortizes across iterations and the
-			// metric depends on benchtime, which the benchdiff gate (1s
-			// artifact vs 50ms quick rerun) cannot tolerate.
-			if _, err := harness.MeasureFig10Single(bm, quickParams(bm), 4); err != nil {
+			// metric depends on benchtime.
+			if _, err := harness.MeasureFig10Single(bm, olden.QuickParams(bm), 4); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			var row harness.Fig10Row
 			for i := 0; i < b.N; i++ {
-				res, err := harness.MeasureFig10Single(bm, quickParams(bm), 4)
+				res, err := harness.MeasureFig10Single(bm, olden.QuickParams(bm), 4)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -82,7 +79,7 @@ func BenchmarkTable3(b *testing.B) {
 			b.Run(bm.Name+"/nodes="+itoa(nodes), func(b *testing.B) {
 				var simpleNs, optNs int64
 				for i := 0; i < b.N; i++ {
-					s, o, err := harness.RunPair(bm, quickParams(bm), nodes)
+					s, o, err := harness.RunPair(bm, olden.QuickParams(bm), nodes)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -113,8 +110,8 @@ func BenchmarkCompile(b *testing.B) {
 // BenchmarkCompileWarm measures recompiling the unchanged source against a
 // warm compile cache: the unit LRU serves the same immutable unit, so the
 // warm cost is hashing the source plus one lookup. Paired with
-// BenchmarkCompile in BENCH_pr7.json, it pins the cache contract — warm
-// recompile under 10% of cold — in the benchdiff gate.
+// BenchmarkCompile it shows the cache contract — warm recompile under 10%
+// of cold, pinned by TestWarmRecompileUnderTenPercentOfCold.
 func BenchmarkCompileWarm(b *testing.B) {
 	bm := olden.ByName("health")
 	src := bm.Source(bm.DefaultParams)
@@ -140,7 +137,7 @@ func BenchmarkCompileWarm(b *testing.B) {
 // host second) on the power benchmark.
 func BenchmarkSimulator(b *testing.B) {
 	bm := olden.ByName("power")
-	src := bm.Source(quickParams(bm))
+	src := bm.Source(olden.QuickParams(bm))
 	p := core.NewPipeline(core.Options{Optimize: true})
 	cr, err := p.Do(core.CompileRequest{Name: "power.ec", Source: src})
 	if err != nil {
@@ -173,9 +170,8 @@ func BenchmarkSimulator(b *testing.B) {
 // machine sizes, with the per-node shards driven by one goroutine (seq) and
 // by SimWorkers=GOMAXPROCS (par). Both modes produce bit-identical results
 // — the equivalence matrix in internal/earthsim pins that — so the sweep
-// isolates pure event-loop cost: wall time per run plus events/sec (events
-// is deterministic and Exact-gated; events_sec is the throughput metric the
-// BENCH_pr8.json gate tracks).
+// isolates pure event-loop cost: wall time per run plus events/sec. The
+// event counts are deterministic; TestPerfPins pins them.
 func BenchmarkSimNodes(b *testing.B) {
 	bm := olden.Halo()
 	src := bm.Source(bm.DefaultParams)

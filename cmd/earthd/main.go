@@ -16,7 +16,9 @@
 //	-nodes N          default simulated machine size for jobs (default 4)
 //	-max-fuel N       per-job simulated instruction cap (default 500M;
 //	                  negative = unlimited)
-//	-job-deadline d   per-job host wall-clock bound (default 60s)
+//	-job-deadline d   per-job host wall-clock budget from acceptance to
+//	                  completion (queue wait included); exceeding it aborts
+//	                  the job with 504 (default 60s)
 //	-drain d          drain timeout on SIGINT/SIGTERM (default 30s)
 //	-cache-size N     shared compile cache capacity in units (default 64;
 //	                  negative disables caching)
@@ -24,9 +26,6 @@
 //	-journal-dir dir  durable job journal: accepted jobs are fsynced before
 //	                  acknowledgement; on restart unfinished jobs replay and
 //	                  completed ones answer re-submissions exactly once
-//	-job-wall-deadline d  per-job wall-clock budget from acceptance to
-//	                  completion (queue wait included); exceeding it aborts
-//	                  the job with 504 (0 = off)
 //	-brownout-after d shed trace-enabled jobs with 429 once measured queue
 //	                  wait exceeds d (0 = off)
 //	-obs              record per-job host-side timelines: span trees served
@@ -77,12 +76,11 @@ func main() {
 	simJ := flag.Int("sim-j", 0, "simulator event-loop workers per run (0 = 1); results are identical for any value")
 	nodes := flag.Int("nodes", 0, "default simulated machine size (0 = default 4)")
 	maxFuel := flag.Int64("max-fuel", 0, "per-job instruction cap (0 = default 500M, negative = unlimited)")
-	jobDeadline := flag.Duration("job-deadline", 0, "per-job host wall-clock bound (0 = default 60s)")
+	jobDeadline := flag.Duration("job-deadline", 0, "per-job wall-clock budget, acceptance to completion; exceeded → 504 (0 = default 60s)")
 	drain := flag.Duration("drain", 30*time.Second, "drain timeout on SIGINT/SIGTERM")
 	cacheSize := flag.Int("cache-size", 0, "compile cache capacity in units (0 = default 64, negative = disabled)")
 	cacheDir := flag.String("cache-dir", "", "persist compile artifacts here across restarts")
 	journalDir := flag.String("journal-dir", "", "durable job journal directory (empty = journaling off)")
-	wallDeadline := flag.Duration("job-wall-deadline", 0, "per-job wall-clock budget, acceptance to completion (0 = off)")
 	brownout := flag.Duration("brownout-after", 0, "shed trace-enabled jobs once measured queue wait exceeds this (0 = off)")
 	obsOn := flag.Bool("obs", true, "record per-job host-side timelines (GET /jobs/{id}/timeline, /debug/jobs)")
 	obsRecent := flag.Int("obs-recent", 0, "completed timelines retained in the ring (0 = default 64)")
@@ -108,18 +106,17 @@ func main() {
 	}
 
 	d, err := server.Open(server.Config{
-		Shards:          *shards,
-		QueueDepth:      *queue,
-		Workers:         *workers,
-		DefaultNodes:    *nodes,
-		MaxFuel:         *maxFuel,
-		JobDeadline:     *jobDeadline,
-		SimWorkers:      *simJ,
-		CacheSize:       *cacheSize,
-		CacheDir:        *cacheDir,
-		JournalDir:      *journalDir,
-		JobWallDeadline: *wallDeadline,
-		BrownoutAfter:   *brownout,
+		Shards:        *shards,
+		QueueDepth:    *queue,
+		Workers:       *workers,
+		DefaultNodes:  *nodes,
+		MaxFuel:       *maxFuel,
+		JobDeadline:   *jobDeadline,
+		SimWorkers:    *simJ,
+		CacheSize:     *cacheSize,
+		CacheDir:      *cacheDir,
+		JournalDir:    *journalDir,
+		BrownoutAfter: *brownout,
 		Obs: obs.Options{
 			Enabled: *obsOn,
 			Recent:  *obsRecent,

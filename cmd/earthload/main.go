@@ -18,9 +18,6 @@
 //	-nodes N      simulated machine size per job (default 4)
 //	-full         use the benchmarks' full default sizes instead of the
 //	              quick parameters
-//	-bench        emit Go-benchmark-formatted result lines on stdout
-//	              (BenchmarkEarthload/shards=N ... jobs/sec) for
-//	              benchdiff -emit; human-readable stats go to stderr
 //	-attrib       after the run, fetch the server's per-stage latency
 //	              histograms (/metrics.json) and print the tail-latency
 //	              attribution table — which stage dominates p99
@@ -67,7 +64,6 @@ func main() {
 	mix := flag.String("mix", "", "comma-separated benchmark mix (default: all five Olden)")
 	nodes := flag.Int("nodes", 4, "simulated machine size per job")
 	full := flag.Bool("full", false, "use full benchmark sizes instead of quick parameters")
-	bench := flag.Bool("bench", false, "emit Go-benchmark-formatted lines for benchdiff")
 	attrib := flag.Bool("attrib", false, "print the server's per-stage tail-latency attribution after the run")
 	logFormat := flag.String("log-format", "text", "diagnostics encoding: text or json")
 	flag.Parse()
@@ -148,14 +144,6 @@ func main() {
 				"completed", st.ok+st.failed, "total", *total)
 		}
 		st.report(os.Stderr, sc)
-		if *bench && !interrupted.Load() {
-			// One line per shard count in `go test -bench` format so
-			// benchdiff -emit folds the sweep into the BENCH_*.json perf
-			// trajectory. Partial runs are not comparable, so they emit
-			// nothing rather than a misleading point.
-			fmt.Printf("BenchmarkEarthload/shards=%d \t%8d\t%12.0f ns/op\t%12.2f jobs/sec\n",
-				sc, st.ok, st.meanNs(), st.jobsPerSec())
-		}
 		if st.failed > 0 {
 			failed = true
 		}
@@ -275,17 +263,6 @@ func (s *stats) jobsPerSec() float64 {
 		return 0
 	}
 	return float64(s.ok) / s.wall.Seconds()
-}
-
-func (s *stats) meanNs() float64 {
-	if s.ok == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range s.latencies {
-		sum += d
-	}
-	return float64(sum.Nanoseconds()) / float64(s.ok)
 }
 
 func (s *stats) pct(q float64) time.Duration {

@@ -19,16 +19,12 @@
 //	-scale s       problem scale: quick | default (default "default")
 //	-fault-seed N  PRNG seed for the fault sweep (default 1)
 //	-json          emit one machine-readable JSON object instead of text
-//	-out file      write the report to file instead of stdout (used by
-//	               scripts/bench.sh to commit the fault sweep as
-//	               BENCH_fault_prN.json)
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -60,21 +56,10 @@ func main() {
 	faultSeed := flag.Uint64("fault-seed", 1, "PRNG seed for the fault sweep")
 	simJ := flag.Int("sim-j", 0, "simulator event-loop workers per run (0 = 1); all measurements are identical for any value")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON")
-	outPath := flag.String("out", "", "write the report to this file instead of stdout")
 	flag.Parse()
 	if *simJ < 0 {
 		fmt.Fprintf(os.Stderr, "paperbench: -sim-j must be ≥ 0, got %d\n", *simJ)
 		os.Exit(2)
-	}
-
-	var out io.Writer = os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		out = f
 	}
 
 	if !*t1 && !*t2 && !*f10 && !*t3 && !*pgo && !*faultSweep {
@@ -85,7 +70,7 @@ func main() {
 	var rep jsonReport
 
 	if (*all || *t2) && !*asJSON {
-		fmt.Fprintln(out, harness.Table2())
+		fmt.Println(harness.Table2())
 	}
 	if *all || *t1 {
 		res, err := harness.MeasureTable1()
@@ -94,7 +79,7 @@ func main() {
 		}
 		rep.Table1 = res
 		if !*asJSON {
-			fmt.Fprintln(out, res)
+			fmt.Println(res)
 		}
 	}
 	if *all || *f10 {
@@ -104,8 +89,8 @@ func main() {
 		}
 		rep.Fig10 = res
 		if !*asJSON {
-			fmt.Fprintln(out, res)
-			fmt.Fprintln(out, res.Bars())
+			fmt.Println(res)
+			fmt.Println(res.Bars())
 		}
 	}
 	if *all || *t3 {
@@ -123,7 +108,7 @@ func main() {
 		}
 		rep.Table3 = res
 		if !*asJSON {
-			fmt.Fprintln(out, res)
+			fmt.Println(res)
 		}
 	}
 	if *all || *pgo {
@@ -133,7 +118,7 @@ func main() {
 		}
 		rep.PGO = res
 		if !*asJSON {
-			fmt.Fprintln(out, res)
+			fmt.Println(res)
 		}
 	}
 	if *all || *faultSweep {
@@ -143,14 +128,14 @@ func main() {
 		}
 		rep.FaultSweep = res
 		if !*asJSON {
-			fmt.Fprintln(out, res)
+			fmt.Println(res)
 		}
 		if !res.Ok() {
 			fatal(fmt.Errorf("fault sweep: a run failed or diverged (see table)"))
 		}
 	}
 	if *asJSON {
-		enc := json.NewEncoder(out)
+		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(&rep); err != nil {
 			fatal(err)
@@ -163,22 +148,7 @@ func paramsFor(scale string) func(*olden.Benchmark) olden.Params {
 	case "default":
 		return harness.DefaultParams
 	case "quick":
-		return func(bm *olden.Benchmark) olden.Params {
-			p := bm.DefaultParams
-			switch bm.Name {
-			case "power":
-				p.Size, p.Iters = 8, 2
-			case "perimeter":
-				p.Size = 5
-			case "tsp":
-				p.Size = 64
-			case "health":
-				p.Size, p.Iters = 3, 20
-			case "voronoi":
-				p.Size = 96
-			}
-			return p
-		}
+		return olden.QuickParams
 	default:
 		fatal(fmt.Errorf("unknown -scale %q", scale))
 		return nil

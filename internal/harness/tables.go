@@ -180,7 +180,7 @@ func (r *Fig10Result) String() string {
 			row.Normalized())
 	}
 	b.WriteString(r.classBreakdown())
-	b.WriteString(r.phaseTable())
+	b.WriteString(r.selectionTable())
 	return b.String()
 }
 
@@ -201,48 +201,12 @@ func (r *Fig10Result) classBreakdown() string {
 	return b.String()
 }
 
-// phaseTable renders per-benchmark compiler phase timings and selection
-// counters for the optimized builds (rows without stats are skipped).
-func (r *Fig10Result) phaseTable() string {
-	// Collect the union of phase names in first-seen order so columns line
-	// up even if a benchmark skips a phase.
-	var names []string
-	seen := map[string]bool{}
-	for _, row := range r.Rows {
-		if row.Stats == nil {
-			continue
-		}
-		for _, p := range row.Stats.Phases {
-			if !seen[p.Name] {
-				seen[p.Name] = true
-				names = append(names, p.Name)
-			}
-		}
-	}
-	if len(names) == 0 {
-		return ""
-	}
+// selectionTable renders the optimized builds' selection counters (rows
+// without stats are skipped). Every column is a count, so the report is
+// byte-identical across runs; per-phase compile times come from
+// `earthcc -stats`.
+func (r *Fig10Result) selectionTable() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "\nCompiler phase timings, optimized build (ms):\n")
-	fmt.Fprintf(&b, "%-10s", "Benchmark")
-	for _, n := range names {
-		fmt.Fprintf(&b, " %9s", n)
-	}
-	fmt.Fprintf(&b, " %9s\n", "total")
-	for _, row := range r.Rows {
-		if row.Stats == nil {
-			continue
-		}
-		byName := map[string]int64{}
-		for _, p := range row.Stats.Phases {
-			byName[p.Name] += p.Ns
-		}
-		fmt.Fprintf(&b, "%-10s", row.Benchmark)
-		for _, n := range names {
-			fmt.Fprintf(&b, " %9.3f", float64(byName[n])/1e6)
-		}
-		fmt.Fprintf(&b, " %9.3f\n", float64(row.Stats.TotalNs())/1e6)
-	}
 	fmt.Fprintf(&b, "\nSelection results, optimized build:\n")
 	fmt.Fprintf(&b, "%-10s %12s %12s | %10s %10s %10s | %10s %10s\n",
 		"Benchmark", "r.cand", "w.cand", "r.pipe", "r.blk", "r.elim", "w.pipe", "w.blk")

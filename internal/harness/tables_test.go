@@ -3,26 +3,9 @@ package harness
 import (
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/olden"
 )
-
-// quickParams shrinks problem sizes for fast CI runs.
-func quickParams(bm *olden.Benchmark) olden.Params {
-	p := bm.DefaultParams
-	switch bm.Name {
-	case "power":
-		p.Size, p.Iters = 8, 2
-	case "perimeter":
-		p.Size = 5
-	case "tsp":
-		p.Size = 64
-	case "health":
-		p.Size, p.Iters = 3, 20
-	case "voronoi":
-		p.Size = 96
-	}
-	return p
-}
 
 func TestTable2(t *testing.T) {
 	out := Table2()
@@ -52,7 +35,7 @@ func indexOf(s, sub string) int {
 // version issues strictly fewer communication operations on every
 // benchmark, with scalar read/write traffic falling.
 func TestFig10Shape(t *testing.T) {
-	res, err := MeasureFig10(4, quickParams)
+	res, err := MeasureFig10(4, olden.QuickParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +55,7 @@ func TestFig10Shape(t *testing.T) {
 // TestTable3Shape checks Table III's shape on a reduced grid: optimization
 // never hurts, and every benchmark shows an improvement on 4 nodes.
 func TestTable3Shape(t *testing.T) {
-	res, err := MeasureTable3([]int{1, 4}, quickParams)
+	res, err := MeasureTable3([]int{1, 4}, olden.QuickParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,5 +83,22 @@ func TestTable3Shape(t *testing.T) {
 			t.Errorf("%s: no improvement at %d procs (%.2f%%)",
 				row.Benchmark, last.Procs, last.Improvement)
 		}
+	}
+}
+
+// TestFig10Deterministic: the Figure 10 report holds only counts, so two
+// renders at quick size are byte-identical. Each render starts from an
+// empty compile cache, so every compile (and its host timing) is fresh.
+func TestFig10Deterministic(t *testing.T) {
+	render := func() string {
+		tableCache = cache.New(0, "")
+		res, err := MeasureFig10(4, olden.QuickParams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.String() + res.Bars()
+	}
+	if a, b := render(), render(); a != b {
+		t.Errorf("two renders differ:\n%s\n---\n%s", a, b)
 	}
 }

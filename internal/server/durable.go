@@ -74,11 +74,7 @@ func dedupKey(req *JobRequest, journaled bool, auto uint64) (string, *jobError) 
 // cancellation context (wall deadline + explicit abort) and its host-side
 // timeline anchored at t0 (submission entry).
 func (s *Server) newJob(req *JobRequest, jid, name, src string, t0 time.Time) *job {
-	ctx := context.Background()
-	var stopTimer context.CancelFunc
-	if s.cfg.JobWallDeadline > 0 {
-		ctx, stopTimer = context.WithTimeout(ctx, s.cfg.JobWallDeadline)
-	}
+	ctx, stopTimer := context.WithTimeout(context.Background(), s.cfg.JobDeadline)
 	cctx, cancel := context.WithCancelCause(ctx)
 	return &job{
 		id:        s.nextID.Add(1),

@@ -332,10 +332,11 @@ func TestCancelRunningJobHTTP(t *testing.T) {
 	}
 }
 
-// TestJobWallDeadline: a job that exceeds the server's wall-clock budget is
-// aborted cooperatively and answers 504.
+// TestJobWallDeadline: a job that exceeds the server's wall-clock budget
+// (JobDeadline, acceptance to completion) is aborted cooperatively and
+// answers 504.
 func TestJobWallDeadline(t *testing.T) {
-	s := New(Config{Shards: 1, QueueDepth: 4, JobWallDeadline: 20 * time.Millisecond})
+	s := New(Config{Shards: 1, QueueDepth: 4, JobDeadline: 20 * time.Millisecond})
 	defer drainServer(t, s)
 	res, jerr := s.Submit(&JobRequest{Source: slowListSrc, Nodes: 2})
 	if jerr != nil {
@@ -352,7 +353,7 @@ func TestJobWallDeadline(t *testing.T) {
 // cancellation closed that attempt, not the id.
 func TestCancelledJournaledAndRerunnable(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Shards: 1, QueueDepth: 8, JournalDir: dir, JobWallDeadline: 20 * time.Millisecond}
+	cfg := Config{Shards: 1, QueueDepth: 8, JournalDir: dir, JobDeadline: 20 * time.Millisecond}
 	s := openServer(t, cfg)
 	res, jerr := s.Submit(&JobRequest{ID: "flaky", Source: slowListSrc, Nodes: 2})
 	if jerr != nil {

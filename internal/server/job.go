@@ -198,12 +198,8 @@ type job struct {
 // discard releases the job's context resources (the cancel cause and the
 // wall-deadline timer). Safe to call more than once.
 func (j *job) discard() {
-	if j.cancel != nil {
-		j.cancel(nil)
-	}
-	if j.stopTimer != nil {
-		j.stopTimer()
-	}
+	j.cancel(nil)
+	j.stopTimer()
 }
 
 type jobOutcome struct {

@@ -70,7 +70,9 @@ type Config struct {
 	// ask for no limit, so one runaway program cannot pin a shard forever
 	// (default 500M; set negative for unlimited).
 	MaxFuel int64
-	// JobDeadline bounds host wall-clock time per job run (default 60s).
+	// JobDeadline bounds a job's host wall-clock time from acceptance to
+	// completion, queue wait included (default 60s); exceeding it aborts the
+	// run via its cancellation context and answers 504.
 	JobDeadline time.Duration
 	// SimWorkers is the number of goroutines driving each job's simulator
 	// windows (earthsim.Config.SimWorkers; 0 means 1, negative is an
@@ -91,11 +93,6 @@ type Config struct {
 	// ones answer re-submissions from their journaled payloads. Empty
 	// disables journaling entirely (zero hot-path cost).
 	JournalDir string
-	// JobWallDeadline bounds a job's wall-clock time from acceptance to
-	// completion (queue wait included); exceeding it aborts the run via its
-	// cancellation context and answers 504. 0 disables. Distinct from
-	// JobDeadline, which bounds only the simulator run.
-	JobWallDeadline time.Duration
 	// BrownoutAfter sheds trace-enabled jobs (the most expensive class) with
 	// 429 once the measured queue-wait EWMA exceeds this threshold, keeping
 	// latency bounded for plain jobs. 0 disables.
@@ -671,7 +668,6 @@ func (s *Server) execute(sh *shard, j *job) jobOutcome {
 		Machine:    machine,
 		SimWorkers: s.cfg.SimWorkers,
 		Fuel:       fuel,
-		Deadline:   s.cfg.JobDeadline,
 		Faults:     faults,
 		Sampler:    sh.sampler,
 		// The job's own context only — never the shared compile flight's:
